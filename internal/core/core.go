@@ -308,6 +308,11 @@ type Engine struct {
 	outstandingStores int
 	domain            *sim.ClockDomain
 
+	// busy records that the current tick issued or flushed; stallCause
+	// is the stall counter of the tick's blocked queue head.
+	busy       bool
+	stallCause *stats.Counter
+
 	// Free lists for the pooled event objects of the hot instruction
 	// path, plus pre-bound shared callbacks and the mask scratch buffer
 	// (valid only within one VMaskStore; OnResult consumers compare and
@@ -506,8 +511,11 @@ func (e *Engine) enqueue(q queued) {
 
 // Tick implements sim.Ticker: one engine cycle of in-order issue. A
 // predicated instruction costs extra issue slots (the predication match
-// logic's flag read).
-func (e *Engine) Tick(now sim.Cycle) bool {
+// logic's flag read). A tick that issues nothing and flushes nothing is
+// Stalled: the queue head waits on a register interlock or a predicate
+// flag, which only an event can clear, so every later tick repeats it.
+func (e *Engine) Tick(now sim.Cycle) sim.Activity {
+	e.busy = false
 	issued := 0
 	for issued < e.cfg.Width {
 		if e.queue.Len() == 0 {
@@ -521,64 +529,72 @@ func (e *Engine) Tick(now sim.Cycle) bool {
 		if issued+cost > e.cfg.Width && issued > 0 {
 			break // does not fit in this cycle's remaining slots
 		}
-		if !e.canIssue(head.inst, now) {
+		if cause := e.blocker(head.inst); cause != nil {
+			cause.Inc()
+			e.stallCause = cause
 			break
 		}
 		e.queue.Pop()
 		e.issue(head, now)
+		e.busy = true
 		issued += cost
 	}
-	return e.queue.Len() > 0
+	switch {
+	case e.queue.Len() == 0:
+		return sim.Idle
+	case e.busy:
+		return sim.Busy
+	}
+	return sim.Stalled
 }
 
-// canIssue applies the interlock and predication-readiness rules.
-func (e *Engine) canIssue(inst *isa.OffloadInst, now sim.Cycle) bool {
+// Skip implements sim.Ticker: k repeats of the last, stalled tick, each
+// blocked at the queue head for the same cause.
+func (e *Engine) Skip(k uint64) { e.stallCause.Add(k) }
+
+// blocker applies the interlock and predication-readiness rules: nil
+// when inst can issue, else the stall counter naming the cause.
+func (e *Engine) blocker(inst *isa.OffloadInst) *stats.Counter {
 	if inst.Pred.Valid && e.regs[inst.Pred.Reg].pending {
 		// Predication match logic needs the flag: data dependency.
-		e.predStall.Inc()
-		return false
+		return e.predStall
 	}
 	switch inst.Op {
 	case isa.Lock:
-		return true
+		return nil
 	case isa.Unlock:
 		// Unlock drains the block: every register write completed, the
 		// mask buffer flushed, and every store accepted by DRAM.
 		if e.maskBuf.dirty {
 			e.flushMaskBuf()
-			e.interlockStall.Inc()
-			return false
+			e.busy = true // the unlock waits, but the flush moved state
+			return e.interlockStall
 		}
 		if e.outstandingStores > 0 {
-			e.interlockStall.Inc()
-			return false
+			return e.interlockStall
 		}
 		for i := range e.regs {
 			if e.regs[i].pending {
-				e.interlockStall.Inc()
-				return false
+				return e.interlockStall
 			}
 		}
-		return true
+		return nil
 	case isa.VLoad, isa.VMaskLoad:
 		if e.regs[inst.Dst].pending {
-			e.interlockStall.Inc()
-			return false
+			return e.interlockStall
 		}
-		return true
+		return nil
 	case isa.VStore, isa.VMaskStore:
 		if e.regs[inst.Src1].pending {
-			e.interlockStall.Inc()
-			return false
+			return e.interlockStall
 		}
-		return true
+		return nil
 	case isa.VALU:
 		if e.regs[inst.Dst].pending || e.regs[inst.Src1].pending ||
 			(!inst.UseImm && e.regs[inst.Src2].pending) {
-			e.interlockStall.Inc()
-			return false
+			return e.interlockStall
 		}
-		return true
+		return nil
 	default:
 		panic(fmt.Sprintf("core: cannot issue %s", inst.Op))
 	}

@@ -39,6 +39,33 @@ type OffloadPort interface {
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
+// OffloadRefuser is the offload-port form of mem.Refuser: a refused
+// Submit changes nothing but the port's own stall counters, and
+// RepeatRefusal applies n more refusals of inst.
+type OffloadRefuser interface {
+	OffloadPort
+	RepeatRefusal(inst *isa.OffloadInst, n uint64)
+}
+
+// stallRecord is one tick's stall-counter increments and refused
+// accesses. Every tick credits it once; a Stalled tick's record is the
+// stall cause, and Skip credits it again for each skipped repeat.
+type stallRecord struct {
+	robFull  uint64
+	mob      uint64
+	fetch    uint64
+	retries  uint64
+	refusals []refusal
+}
+
+// refusal is one access a port refused during the tick: a memory
+// request (port set) or an offload instruction (inst set).
+type refusal struct {
+	port mem.Refuser
+	req  *mem.Request
+	inst *isa.OffloadInst
+}
+
 type entryState uint8
 
 const (
@@ -106,6 +133,17 @@ type Core struct {
 	dcache  mem.Port    // cacheable path (L1D)
 	umem    mem.Port    // uncacheable path (directly toward the cube)
 	offload OffloadPort // HMC/HIVE/HIPE instruction path
+
+	// The ports' repeatable-refusal forms (nil when a port has none).
+	dcacheR  mem.Refuser
+	umemR    mem.Refuser
+	offloadR OffloadRefuser
+
+	// busy records that the current tick changed pipeline state or
+	// depended on the clock; a tick that did neither is a stall the
+	// clock domain parks on. stall tallies the tick's stall counters.
+	busy  bool
+	stall stallRecord
 
 	stream     Stream
 	streamDone bool
@@ -185,6 +223,9 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 	c.stores = sc.Counter("stores")
 	c.offloads = sc.Counter("offload_insts")
 	c.cycles = sc.Counter("active_cycles")
+	c.dcacheR, _ = dcache.(mem.Refuser)
+	c.umemR, _ = umem.(mem.Refuser)
+	c.offloadR, _ = offloadPort.(OffloadRefuser)
 	c.domain = sim.NewClockDomain(engine, 1, c)
 	return c, nil
 }
@@ -240,6 +281,7 @@ func (c *Core) Reset() {
 	}
 	c.readyQ = c.readyQ[:0]
 	c.readyKeep = c.readyKeep[:0]
+	c.stall.refusals = c.stall.refusals[:0]
 	clear(c.producers)
 	c.mobReads, c.mobWrites = 0, 0
 	c.fetchStallUntil = 0
@@ -277,9 +319,14 @@ func (c *Core) Cycles() sim.Cycle { return c.finishCycle - c.startCycle }
 // Committed reports total committed µops.
 func (c *Core) Committed() uint64 { return c.committed.Value() }
 
-// Tick implements sim.Ticker: one pipeline cycle.
-func (c *Core) Tick(now sim.Cycle) bool {
-	c.cycles.Inc()
+// Tick implements sim.Ticker: one pipeline cycle. A tick in which no
+// stage moved anything, and whose outcome did not hinge on a timer
+// (a fetch bubble, a busy divider), reports Stalled: it only retried
+// refused accesses and counted stalls, and repeats exactly until an
+// event changes the state it read.
+func (c *Core) Tick(now sim.Cycle) sim.Activity {
+	c.busy = false
+	c.stall = stallRecord{refusals: c.stall.refusals[:0]}
 	for i := range c.issuedThisCycle {
 		c.issuedThisCycle[i] = 0
 	}
@@ -289,6 +336,7 @@ func (c *Core) Tick(now sim.Cycle) bool {
 	c.decode()
 	c.fetch(now)
 	c.drainStores()
+	c.credit(1)
 
 	if c.idle() {
 		c.running = false
@@ -298,9 +346,45 @@ func (c *Core) Tick(now sim.Cycle) bool {
 			c.onFinish = nil
 			f()
 		}
-		return false
+		return sim.Idle
 	}
-	return true
+	if c.busy {
+		return sim.Busy
+	}
+	return sim.Stalled
+}
+
+// Skip implements sim.Ticker: k repeats of the last, stalled tick.
+func (c *Core) Skip(k uint64) {
+	c.credit(k)
+	for _, r := range c.stall.refusals {
+		if r.port != nil {
+			r.port.RepeatRefusal(r.req, k)
+		} else {
+			c.offloadR.RepeatRefusal(r.inst, k)
+		}
+	}
+}
+
+// credit adds n ticks' worth of the current stall record to the core's
+// counters.
+func (c *Core) credit(n uint64) {
+	c.cycles.Add(n)
+	c.robStalls.Add(n * c.stall.robFull)
+	c.mobStalls.Add(n * c.stall.mob)
+	c.fetchStalls.Add(n * c.stall.fetch)
+	c.cacheRetry.Add(n * c.stall.retries)
+}
+
+// refusedAccess records a memory request port refused; r is the port's
+// repeatable-refusal form, nil if it has none, in which case the tick
+// cannot be skipped.
+func (c *Core) refusedAccess(r mem.Refuser, req *mem.Request) {
+	if r == nil {
+		c.busy = true
+		return
+	}
+	c.stall.refusals = append(c.stall.refusals, refusal{port: r, req: req})
 }
 
 func (c *Core) idle() bool {
@@ -316,12 +400,14 @@ func (c *Core) fetch(now sim.Cycle) {
 		return
 	}
 	if now < c.fetchStallUntil {
-		c.fetchStalls.Inc()
+		c.stall.fetch++
+		c.busy = true // the bubble ends on a timer
 		return
 	}
 	budget := int(c.cfg.FetchBytes / c.cfg.InstBytes)
 	branches := 0
 	for budget > 0 && c.fetchBuf.Len() < c.cfg.FetchBufSize {
+		c.busy = true
 		uop, ok := c.stream.Next()
 		if !ok {
 			c.streamDone = true
@@ -367,6 +453,7 @@ func (c *Core) decode() {
 	n := c.cfg.DecodeWidth
 	for n > 0 && c.fetchBuf.Len() > 0 && c.decodeBuf.Len() < c.cfg.DecodeBufSize {
 		c.decodeBuf.Push(c.fetchBuf.Pop())
+		c.busy = true
 		n--
 	}
 }
@@ -376,9 +463,10 @@ func (c *Core) dispatch() {
 	n := c.cfg.IssueWidth
 	for n > 0 && c.decodeBuf.Len() > 0 {
 		if c.rob.Len() >= c.cfg.ROBSize {
-			c.robStalls.Inc()
+			c.stall.robFull++
 			return
 		}
+		c.busy = true
 		f := c.decodeBuf.Pop()
 		e := c.newEntry(f)
 		if src := f.uop.Src1; src != isa.RegNone {
@@ -419,6 +507,7 @@ func (c *Core) issue(now sim.Cycle) {
 			keep = append(keep, e)
 			continue
 		}
+		c.busy = true
 		issued++
 	}
 	c.readyKeep = c.readyQ[:0]
@@ -434,6 +523,9 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			return false
 		}
 	} else {
+		// Either outcome hinges on the clock: a unit frees on a timer,
+		// and claiming one changes state even if the µop then waits.
+		c.busy = true
 		unit := -1
 		for i, busy := range c.divBusyUntil[fu] {
 			if busy <= now {
@@ -450,16 +542,17 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 	switch e.uop.Class {
 	case isa.Load:
 		if c.mobReads >= c.cfg.MOBReads {
-			c.mobStalls.Inc()
+			c.stall.mob++
 			return false
 		}
-		port := c.dcache
+		port, r := c.dcache, c.dcacheR
 		if e.uop.Uncacheable {
-			port = c.umem
+			port, r = c.umem, c.umemR
 		}
 		e.req = mem.Request{Addr: e.uop.Addr, Size: e.uop.Size, Kind: mem.Read, Done: e.loadDone}
 		if !port.Access(&e.req) {
-			c.cacheRetry.Inc()
+			c.stall.retries++
+			c.refusedAccess(r, &e.req)
 			return false
 		}
 		c.mobReads++
@@ -473,11 +566,16 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			panic(fmt.Sprintf("cpu %s: offload µop without an offload port", c.cfg.Name))
 		}
 		if c.mobReads >= c.cfg.MOBReads {
-			c.mobStalls.Inc()
+			c.stall.mob++
 			return false
 		}
 		if !c.offload.Submit(e.uop.Offload, e.loadDone) {
-			c.cacheRetry.Inc()
+			c.stall.retries++
+			if c.offloadR == nil {
+				c.busy = true
+			} else {
+				c.stall.refusals = append(c.stall.refusals, refusal{inst: e.uop.Offload})
+			}
 			return false
 		}
 		c.mobReads++
@@ -538,7 +636,7 @@ func (c *Core) commit(now sim.Cycle) {
 		}
 		if e.uop.Class == isa.Store {
 			if c.mobWrites >= c.cfg.MOBWrites {
-				c.mobStalls.Inc()
+				c.stall.mob++
 				return
 			}
 			c.mobWrites++
@@ -547,6 +645,7 @@ func (c *Core) commit(now sim.Cycle) {
 			e.uncacheable = e.uop.Uncacheable
 			c.pendingStores.Push(e)
 		}
+		c.busy = true
 		c.rob.Pop()
 		e.inROB = false
 		c.committed.Inc()
@@ -561,13 +660,15 @@ func (c *Core) commit(now sim.Cycle) {
 func (c *Core) drainStores() {
 	for c.pendingStores.Len() > 0 {
 		e := *c.pendingStores.Front()
-		port := c.dcache
+		port, r := c.dcache, c.dcacheR
 		if e.uncacheable {
-			port = c.umem
+			port, r = c.umem, c.umemR
 		}
 		if !port.Access(&e.req) {
+			c.refusedAccess(r, &e.req)
 			return
 		}
+		c.busy = true
 		c.pendingStores.Pop()
 	}
 }

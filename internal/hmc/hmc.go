@@ -181,6 +181,11 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	return true
 }
 
+// RepeatRefusal implements cpu.OffloadRefuser. Submit refuses only
+// when the in-flight window is full, so a repeat of a refusal counts
+// one more window reject.
+func (e *Engine) RepeatRefusal(_ *isa.OffloadInst, n uint64) { e.rejected.Add(n) }
+
 // exec runs cube-side on instruction arrival: issue the DRAM read.
 func (op *hmcOp) exec(*link.Packet) {
 	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Read, Done: op.readDoneFn}

@@ -100,6 +100,15 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 	}
 }
 
+// RepeatRefusal implements cpu.OffloadRefuser. Only the HMC engine
+// refuses: the HIVE and HIPE sequencers buffer every instruction.
+func (m *offloadMux) RepeatRefusal(inst *isa.OffloadInst, n uint64) {
+	if inst.Target != isa.TargetHMC {
+		panic(fmt.Sprintf("machine: %s never refuses an offload", inst.Target))
+	}
+	m.hmc.RepeatRefusal(inst, n)
+}
+
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
 	if cfg.ImageBytes == 0 {

@@ -126,6 +126,10 @@ type Engine struct {
 	// beyond the ring horizon.
 	heap []queuedEvent
 
+	// parked lists the clock domains whose next tick is virtual (see
+	// ClockDomain); unordered, each domain knows its index.
+	parked []*ClockDomain
+
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 	// scheduled counts events enqueued; ringEvents/heapEvents split it by
@@ -139,7 +143,10 @@ type Engine struct {
 // Stats is a snapshot of the scheduler's event accounting: how many
 // events were enqueued, how many fired, and which lane — the near-future
 // ring or the far-future heap — each enqueue routed to. The counters are
-// cumulative since construction or the last Reset.
+// cumulative since construction or the last Reset. A parked clock
+// domain's skipped ticks count exactly as the fired ticks they stand
+// for: each one executed, and each one scheduling its successor in the
+// lane its period routes to.
 type Stats struct {
 	Scheduled  uint64
 	Executed   uint64
@@ -177,13 +184,16 @@ func (e *Engine) Reset() {
 	for i := range e.occ {
 		e.occ[i] = 0
 	}
+	clear(e.parked)
+	e.parked = e.parked[:0]
 }
 
 // Now reports the current simulation cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.ringCount + len(e.heap) }
+// Pending reports the number of events waiting to fire, a parked clock
+// domain's virtual next tick included.
+func (e *Engine) Pending() int { return e.ringCount + len(e.heap) + len(e.parked) }
 
 // Executed reports the total number of events that have fired.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -247,25 +257,122 @@ func (e *Engine) AfterEvent(delay Cycle, h Handler, tag uint64) {
 	e.ScheduleEvent(e.now+delay, h, tag)
 }
 
-// enqueue routes an event to the ring or the heap.
+// enqueue numbers an event, counts it and routes it to its lane.
 func (e *Engine) enqueue(at Cycle, h Handler, tag uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at cycle %d before now %d", at, e.now))
 	}
-	ev := queuedEvent{cycle: at, seq: e.seq, h: h, tag: tag}
+	e.count(at-e.now, 1)
+	e.insert(queuedEvent{cycle: at, seq: e.seq, h: h, tag: tag})
 	e.seq++
-	e.scheduled++
-	if at-e.now < ringSize {
-		i := int(at & ringMask)
-		b := &e.ring[i]
-		b.evs = append(b.evs, ev)
-		e.occ[i>>6] |= 1 << (uint(i) & 63)
-		e.ringCount++
-		e.ringEvents++
+}
+
+// count records n enqueues delay cycles ahead of now.
+func (e *Engine) count(delay Cycle, n uint64) {
+	e.scheduled += n
+	if delay < ringSize {
+		e.ringEvents += n
+	} else {
+		e.heapEvents += n
+	}
+}
+
+// insert places an already-numbered event in the ring or the heap. A
+// ring bucket stays sorted by sequence number: a fresh event appends,
+// and a woken domain tick, whose number was reserved earlier, moves
+// back past any later-numbered events of its cycle.
+func (e *Engine) insert(ev queuedEvent) {
+	if ev.cycle-e.now >= ringSize {
+		e.heapPush(ev)
 		return
 	}
-	e.heapEvents++
-	e.heapPush(ev)
+	i := int(ev.cycle & ringMask)
+	b := &e.ring[i]
+	b.evs = append(b.evs, ev)
+	for j := len(b.evs) - 1; j > b.head && b.evs[j-1].seq > ev.seq; j-- {
+		b.evs[j], b.evs[j-1] = b.evs[j-1], b.evs[j]
+	}
+	e.occ[i>>6] |= 1 << (uint(i) & 63)
+	e.ringCount++
+}
+
+// park makes d's next tick virtual instead of queueing it. The
+// reservation takes the sequence number and the accounting of the
+// AfterEvent(Period) the stalled tick would have made.
+func (e *Engine) park(d *ClockDomain) {
+	d.parked = true
+	d.vcycle, d.vseq = e.now+d.Period, e.seq
+	e.seq++
+	e.count(d.Period, 1)
+	d.parkIndex = len(e.parked)
+	e.parked = append(e.parked, d)
+}
+
+// wake turns parked d's virtual next tick into a real queued event at
+// the same (cycle, seq).
+func (e *Engine) wake(d *ClockDomain) {
+	last := len(e.parked) - 1
+	moved := e.parked[last]
+	e.parked[d.parkIndex], moved.parkIndex = moved, d.parkIndex
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	d.parked = false
+	e.insert(queuedEvent{cycle: d.vcycle, seq: d.vseq, h: d})
+}
+
+// wakeAll wakes every parked domain.
+func (e *Engine) wakeAll() {
+	for len(e.parked) > 0 {
+		e.wake(e.parked[len(e.parked)-1])
+	}
+}
+
+// skipParked fires, virtually, every parked tick that precedes
+// (cycle, seq) in the global order, and reports the cycle of the last
+// one. Ticks are taken in global order: the earliest parked domain
+// skips in bulk up to the limit or up to the next-earliest parked tick,
+// whichever comes first, so each skipped tick consumes the sequence
+// number it would have had as a fired event. Each domain's skipped
+// ticks are then credited through one Ticker.Skip call.
+func (e *Engine) skipParked(cycle Cycle, seq uint64) (last Cycle) {
+	for {
+		var first, second *ClockDomain
+		for _, d := range e.parked {
+			switch {
+			case first == nil || d.vcycle < first.vcycle || (d.vcycle == first.vcycle && d.vseq < first.vseq):
+				first, second = d, first
+			case second == nil || d.vcycle < second.vcycle || (d.vcycle == second.vcycle && d.vseq < second.vseq):
+				second = d
+			}
+		}
+		if first == nil {
+			break
+		}
+		limCycle, limSeq := cycle, seq
+		if second != nil && second.ticksBefore(cycle, seq) > 0 {
+			limCycle, limSeq = second.vcycle, second.vseq
+		}
+		k := first.ticksBefore(limCycle, limSeq)
+		if k == 0 {
+			break
+		}
+		if c := first.vcycle + Cycle(k-1)*first.Period; c > last {
+			last = c
+		}
+		first.vcycle += Cycle(k) * first.Period
+		first.vseq = e.seq + k - 1
+		first.skipped += k
+		e.seq += k
+		e.executed += k
+		e.count(first.Period, k)
+	}
+	for _, d := range e.parked {
+		if d.skipped > 0 {
+			d.T.Skip(d.skipped)
+			d.skipped = 0
+		}
+	}
+	return last
 }
 
 // nextRingBucket returns the index of the occupied ring bucket with the
@@ -302,13 +409,25 @@ func (e *Engine) ringCycle(i int) Cycle {
 }
 
 // Step fires the earliest pending event, advancing the clock to its cycle.
-// It reports false when no events remain.
+// It reports false when no events remain. Parked clock domains' ticks
+// that precede the event are skipped first; an event that is not a
+// domain tick then wakes every parked domain, since it may change the
+// state their ticks read.
 func (e *Engine) Step() bool {
 	ev, ok := e.dequeue()
 	if !ok {
+		if len(e.parked) > 0 {
+			panic("sim: clock domain stalled with no pending event (the model is deadlocked)")
+		}
 		return false
 	}
 	e.now = ev.cycle
+	if len(e.parked) > 0 {
+		e.skipParked(ev.cycle, ev.seq)
+		if _, tick := ev.h.(*ClockDomain); !tick {
+			e.wakeAll()
+		}
+	}
 	e.executed++
 	ev.h.OnEvent(ev.cycle, ev.tag)
 	return true
@@ -416,27 +535,31 @@ func (e *Engine) Run() Cycle {
 	return e.now
 }
 
-// RunUntil fires every event with cycle <= limit, in order. It reports
-// true if that drained the queue, false if events at cycles beyond limit
-// remain. The clock is left at the cycle of the last event fired; it
-// does not advance to limit when no event lands exactly there (and does
-// not move at all if nothing fires), so after RunUntil(limit) the clock
-// reads the last real activity, not the probe horizon.
+// RunUntil fires every event with cycle <= limit, in order, parked
+// domains' skipped ticks included. It reports true if that drained the
+// queue, false if events at cycles beyond limit remain. The clock is
+// left at the cycle of the last event fired; it does not advance to
+// limit when no event lands exactly there (and does not move at all if
+// nothing fires), so after RunUntil(limit) the clock reads the last real
+// activity, not the probe horizon.
 func (e *Engine) RunUntil(limit Cycle) bool {
 	for {
 		c, ok := e.peekCycle()
-		if !ok {
-			return true
-		}
-		if c > limit {
-			return false
+		if !ok || c > limit {
+			if len(e.parked) > 0 && limit < ^Cycle(0) {
+				if last := e.skipParked(limit+1, 0); last > e.now {
+					e.now = last
+				}
+			}
+			return !ok && len(e.parked) == 0
 		}
 		e.Step()
 	}
 }
 
 // RunLimit fires at most n events; it reports the number actually fired.
-// Useful as a watchdog in tests to catch livelock in timing models.
+// Skipped ticks of parked clock domains do not count toward n. Useful as
+// a watchdog in tests to catch livelock in timing models.
 func (e *Engine) RunLimit(n uint64) uint64 {
 	var fired uint64
 	for fired < n && e.Step() {

@@ -188,11 +188,16 @@ type countdownTicker struct {
 	hit func()
 }
 
-func (c *countdownTicker) Tick(now Cycle) bool {
+func (c *countdownTicker) Tick(now Cycle) Activity {
 	c.hit()
 	c.n--
-	return c.n > 0
+	if c.n > 0 {
+		return Busy
+	}
+	return Idle
 }
+
+func (c *countdownTicker) Skip(uint64) { panic("countdownTicker never stalls") }
 
 func TestClockDomainZeroPeriodPanics(t *testing.T) {
 	defer func() {
