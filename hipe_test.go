@@ -1,6 +1,7 @@
 package hipe_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,5 +126,39 @@ func TestClusteredDataEnablesSquash(t *testing.T) {
 	}
 	if clustered.SquashedDRAMBytes == 0 {
 		t.Fatal("no DRAM bytes saved on clustered data")
+	}
+}
+
+// TestRunImageSizingIsInvisible pins the one-shot path's image sizing:
+// hipe.Run sizes the default machine's image to the table, and every
+// result must equal a run on an explicit full 64 MiB default machine.
+func TestRunImageSizingIsInvisible(t *testing.T) {
+	cfg := smallConfig()
+	full := cfg
+	mc := hipe.DefaultMachine()
+	if mc.ImageBytes != 64<<20 {
+		t.Fatalf("default image is %d bytes, want 64 MiB", mc.ImageBytes)
+	}
+	full.Machine = &mc
+	tabs := []*hipe.Lineitem{
+		hipe.Generate(cfg.Tuples, cfg.Seed),
+		hipe.GenerateClustered(cfg.Tuples, cfg.Seed, 10),
+	}
+	for _, tab := range tabs {
+		for _, a := range []hipe.Arch{hipe.X86, hipe.HMC, hipe.HIVE, hipe.HIPE} {
+			for _, p := range []hipe.Plan{hipe.ServeQ1Plan(a, hipe.DefaultQ01()), hipe.ServePlan(a, hipe.DefaultQ06())} {
+				got, err := hipe.Run(cfg, tab, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := hipe.Run(full, tab, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: sized image %+v, 64 MiB image %+v", p, got, want)
+				}
+			}
+		}
 	}
 }

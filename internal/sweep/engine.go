@@ -242,23 +242,12 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	cache := &tableCache{tables: map[workload]*tableEntry{}}
 
 	// Size the default machine image to the sweep's largest workload
-	// instead of the full 64 MiB default: layouts bump-allocate from
-	// address zero, so the image size changes no addresses and no
-	// timing — only how many bytes each machine build and reset touches.
-	// An explicit cfg.Machine is honoured untouched.
-	mc := cfg.machineConfig()
-	if cfg.Machine == nil {
-		maxTuples := 0
-		for _, c := range cells {
-			if c.Tuples > maxTuples {
-				maxTuples = c.Tuples
-			}
-		}
-		if ib := db.ImageBytesFor(maxTuples); ib < mc.ImageBytes {
-			mc.ImageBytes = ib
-		}
+	// instead of the full 64 MiB default.
+	maxTuples := 0
+	for _, c := range cells {
+		maxTuples = max(maxTuples, c.Tuples)
 	}
-	cfg.Machine = &mc
+	cfg = cfg.sizedFor(maxTuples)
 
 	// The planner parameters for auto-arch cells, derived once from the
 	// sweep's machine and energy models. Resolution happens per cell

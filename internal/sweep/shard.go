@@ -93,24 +93,15 @@ func runCellsSharded(cfg Config, cells []Cell, opt Options) (*ResultSet, error) 
 	}
 
 	// Shard machines only ever see shard-sized tables, so the default
-	// image sizes to the largest shard, not the largest table — the
-	// same bump-allocation argument the whole-table path makes. An
-	// explicit cfg.Machine is honoured untouched.
-	mc := cfg.machineConfig()
-	if cfg.Machine == nil {
-		maxRows := 0
-		for _, shards := range shardSets {
-			for _, s := range shards {
-				if s.N > maxRows {
-					maxRows = s.N
-				}
-			}
-		}
-		if ib := db.ImageBytesFor(maxRows); ib < mc.ImageBytes {
-			mc.ImageBytes = ib
+	// image sizes to the largest shard, not the largest table.
+	maxRows := 0
+	for _, shards := range shardSets {
+		for _, s := range shards {
+			maxRows = max(maxRows, s.N)
 		}
 	}
-	cfg.Machine = &mc
+	cfg = cfg.sizedFor(maxRows)
+	mc := *cfg.Machine
 	pool := machine.NewPool(mc)
 
 	// Fan out (cell, shard) tasks. Partials are slot-indexed; the

@@ -48,6 +48,22 @@ func (c Config) machineConfig() machine.Config {
 	return machine.Default()
 }
 
+// sizedFor returns c with its machine pinned: an explicit Machine is
+// kept untouched, and the default machine's image shrinks to fit an
+// n-row workload (db.ImageBytesFor). Layouts bump-allocate from address
+// zero, so the image size changes no addresses and no timing — only how
+// many bytes each machine build and reset touches.
+func (c Config) sizedFor(n int) Config {
+	mc := c.machineConfig()
+	if c.Machine == nil {
+		if ib := db.ImageBytesFor(n); ib < mc.ImageBytes {
+			mc.ImageBytes = ib
+		}
+	}
+	c.Machine = &mc
+	return c
+}
+
 func (c Config) energyModel() energy.Model {
 	if c.Energy != nil {
 		return *c.Energy
@@ -80,9 +96,11 @@ func (r Result) Speedup(baseCycles uint64) float64 {
 }
 
 // Run executes one plan on a fresh machine, verifies the computed
-// bitmask against the reference evaluator, and audits energy.
+// bitmask against the reference evaluator, and audits energy. The
+// default machine's image is sized to the table, as in a sweep.
 func (c Config) Run(tab *db.Table, p query.Plan) (Result, error) {
-	m, err := machine.New(c.machineConfig())
+	c = c.sizedFor(tab.N)
+	m, err := machine.New(*c.Machine)
 	if err != nil {
 		return Result{}, err
 	}
