@@ -339,9 +339,9 @@ func (e *Engine) skipParked(cycle Cycle, seq uint64) (last Cycle) {
 		var first, second *ClockDomain
 		for _, d := range e.parked {
 			switch {
-			case first == nil || d.vcycle < first.vcycle || (d.vcycle == first.vcycle && d.vseq < first.vseq):
+			case first == nil || d.vbefore(first.vcycle, first.vseq):
 				first, second = d, first
-			case second == nil || d.vcycle < second.vcycle || (d.vcycle == second.vcycle && d.vseq < second.vseq):
+			case second == nil || d.vbefore(second.vcycle, second.vseq):
 				second = d
 			}
 		}
@@ -349,15 +349,12 @@ func (e *Engine) skipParked(cycle Cycle, seq uint64) (last Cycle) {
 			break
 		}
 		limCycle, limSeq := cycle, seq
-		if second != nil && second.ticksBefore(cycle, seq) > 0 {
+		if second != nil && second.vbefore(cycle, seq) {
 			limCycle, limSeq = second.vcycle, second.vseq
 		}
 		k := first.ticksBefore(limCycle, limSeq)
 		if k == 0 {
 			break
-		}
-		if c := first.vcycle + Cycle(k-1)*first.Period; c > last {
-			last = c
 		}
 		first.vcycle += Cycle(k) * first.Period
 		first.vseq = e.seq + k - 1
@@ -368,6 +365,7 @@ func (e *Engine) skipParked(cycle Cycle, seq uint64) (last Cycle) {
 	}
 	for _, d := range e.parked {
 		if d.skipped > 0 {
+			last = max(last, d.vcycle-d.Period)
 			d.T.Skip(d.skipped)
 			d.skipped = 0
 		}

@@ -71,6 +71,12 @@ type ClockDomain struct {
 	skipped   uint64
 }
 
+// vbefore reports whether d's next virtual tick precedes (cycle, seq)
+// in the global order.
+func (d *ClockDomain) vbefore(cycle Cycle, seq uint64) bool {
+	return d.vcycle < cycle || (d.vcycle == cycle && d.vseq < seq)
+}
+
 // ticksBefore counts d's virtual ticks that precede (cycle, seq) in the
 // global order. Only the first can tie on cycle and win on sequence
 // number: each later one is numbered when its predecessor fires, after
@@ -78,12 +84,16 @@ type ClockDomain struct {
 // earlier cycle.
 func (d *ClockDomain) ticksBefore(cycle Cycle, seq uint64) uint64 {
 	switch {
-	case d.vcycle < cycle:
-		return 1 + uint64((cycle-1-d.vcycle)/d.Period)
-	case d.vcycle == cycle && d.vseq < seq:
+	case !d.vbefore(cycle, seq):
+		return 0
+	case d.vcycle == cycle:
 		return 1
 	}
-	return 0
+	later := uint64(cycle - 1 - d.vcycle)
+	if d.Period > 1 { // most domains tick every cycle: skip the divide
+		later /= uint64(d.Period)
+	}
+	return 1 + later
 }
 
 // NewClockDomain couples t to engine at the given period (>= 1).
