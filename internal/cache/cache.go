@@ -338,11 +338,12 @@ func (c *Cache) Access(req *mem.Request) bool {
 	return true
 }
 
-var _ mem.Refuser = (*Cache)(nil)
+var _ mem.Port = (*Cache)(nil)
 
-// RepeatRefusal implements mem.Refuser. Access refuses only when the
-// MSHR pool a miss needs is full, after lookups that change nothing, so
-// a repeat of a refusal counts one more MSHR stall.
+// RepeatRefusal credits n more refusals of req, as the core does for
+// retries it skipped. Access refuses only when the MSHR pool a miss
+// needs is full, after lookups that change nothing, so each repeat
+// counts one more MSHR stall.
 func (c *Cache) RepeatRefusal(_ *mem.Request, n uint64) { c.mshrStalls.Add(n) }
 
 // newMSHR draws a pooled MSHR, resetting it for line la.

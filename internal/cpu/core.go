@@ -39,11 +39,18 @@ type OffloadPort interface {
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
-// OffloadRefuser is the offload-port form of mem.Refuser: a refused
-// Submit changes nothing but the port's own stall counters, and
-// RepeatRefusal applies n more refusals of inst.
-type OffloadRefuser interface {
-	OffloadPort
+// memRefuser and offloadRefuser are ports whose refusals are
+// repeatable: a refused Access or Submit changes nothing but the port's
+// own stall counters, so the same request is refused again, identically,
+// until some event changes the port's state. RepeatRefusal applies n
+// more refusals without re-running the call — how Skip credits the
+// retries of skipped ticks. A tick refused by a port without this form
+// counts as Busy and is never skipped.
+type memRefuser interface {
+	RepeatRefusal(req *mem.Request, n uint64)
+}
+
+type offloadRefuser interface {
 	RepeatRefusal(inst *isa.OffloadInst, n uint64)
 }
 
@@ -61,7 +68,7 @@ type stallRecord struct {
 // refusal is one access a port refused during the tick: a memory
 // request (port set) or an offload instruction (inst set).
 type refusal struct {
-	port mem.Refuser
+	port memRefuser
 	req  *mem.Request
 	inst *isa.OffloadInst
 }
@@ -135,9 +142,9 @@ type Core struct {
 	offload OffloadPort // HMC/HIVE/HIPE instruction path
 
 	// The ports' repeatable-refusal forms (nil when a port has none).
-	dcacheR  mem.Refuser
-	umemR    mem.Refuser
-	offloadR OffloadRefuser
+	dcacheR  memRefuser
+	umemR    memRefuser
+	offloadR offloadRefuser
 
 	// busy records that the current tick changed pipeline state or
 	// depended on the clock; a tick that did neither is a stall the
@@ -223,9 +230,9 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 	c.stores = sc.Counter("stores")
 	c.offloads = sc.Counter("offload_insts")
 	c.cycles = sc.Counter("active_cycles")
-	c.dcacheR, _ = dcache.(mem.Refuser)
-	c.umemR, _ = umem.(mem.Refuser)
-	c.offloadR, _ = offloadPort.(OffloadRefuser)
+	c.dcacheR, _ = dcache.(memRefuser)
+	c.umemR, _ = umem.(memRefuser)
+	c.offloadR, _ = offloadPort.(offloadRefuser)
 	c.domain = sim.NewClockDomain(engine, 1, c)
 	return c, nil
 }
@@ -379,7 +386,7 @@ func (c *Core) credit(n uint64) {
 // refusedAccess records a memory request port refused; r is the port's
 // repeatable-refusal form, nil if it has none, in which case the tick
 // cannot be skipped.
-func (c *Core) refusedAccess(r mem.Refuser, req *mem.Request) {
+func (c *Core) refusedAccess(r memRefuser, req *mem.Request) {
 	if r == nil {
 		c.busy = true
 		return

@@ -181,9 +181,9 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	return true
 }
 
-// RepeatRefusal implements cpu.OffloadRefuser. Submit refuses only
-// when the in-flight window is full, so a repeat of a refusal counts
-// one more window reject.
+// RepeatRefusal credits n more refusals of inst, as the core does for
+// retries it skipped. Submit refuses only when the in-flight window is
+// full, so each repeat counts one more window reject.
 func (e *Engine) RepeatRefusal(_ *isa.OffloadInst, n uint64) { e.rejected.Add(n) }
 
 // exec runs cube-side on instruction arrival: issue the DRAM read.

@@ -100,7 +100,7 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 	}
 }
 
-// RepeatRefusal implements cpu.OffloadRefuser. Only the HMC engine
+// RepeatRefusal credits n more refusals of inst. Only the HMC engine
 // refuses: the HIVE and HIPE sequencers buffer every instruction.
 func (m *offloadMux) RepeatRefusal(inst *isa.OffloadInst, n uint64) {
 	if inst.Target != isa.TargetHMC {

@@ -167,18 +167,6 @@ type Port interface {
 	Access(req *Request) bool
 }
 
-// Refuser is a Port whose refusals are repeatable: a refused Access
-// changes nothing but the port's own stall counters, so the same request
-// is refused again, identically, until some event changes the port's
-// state. RepeatRefusal applies n more refusals of req without re-running
-// Access — how a parked core credits the retries it skipped. A port that
-// does not implement Refuser may still refuse; its requesters then
-// simply never skip a tick that was refused there.
-type Refuser interface {
-	Port
-	RepeatRefusal(req *Request, n uint64)
-}
-
 // FuncPort adapts a function to the Port interface (useful in tests).
 type FuncPort func(req *Request) bool
 
