@@ -340,11 +340,11 @@ func (c *Cache) Access(req *mem.Request) bool {
 
 var _ mem.Port = (*Cache)(nil)
 
-// RepeatRefusal credits n more refusals of req, as the core does for
+// RepeatRefusals credits n more refused accesses, as the core does for
 // retries it skipped. Access refuses only when the MSHR pool a miss
 // needs is full, after lookups that change nothing, so each repeat
 // counts one more MSHR stall.
-func (c *Cache) RepeatRefusal(_ *mem.Request, n uint64) { c.mshrStalls.Add(n) }
+func (c *Cache) RepeatRefusals(n uint64) { c.mshrStalls.Add(n) }
 
 // newMSHR draws a pooled MSHR, resetting it for line la.
 func (c *Cache) newMSHR(la mem.Addr) *mshr {

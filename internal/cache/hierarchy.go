@@ -79,7 +79,7 @@ func (h *Hierarchy) Reset() {
 // Access enters the hierarchy at L1.
 func (h *Hierarchy) Access(req *mem.Request) bool { return h.L1.Access(req) }
 
-// RepeatRefusal credits n more refusals of req: refusals come from L1.
-func (h *Hierarchy) RepeatRefusal(req *mem.Request, n uint64) { h.L1.RepeatRefusal(req, n) }
+// RepeatRefusals credits n more refused accesses: refusals come from L1.
+func (h *Hierarchy) RepeatRefusals(n uint64) { h.L1.RepeatRefusals(n) }
 
 var _ mem.Port = (*Hierarchy)(nil)

@@ -39,38 +39,35 @@ type OffloadPort interface {
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
-// memRefuser and offloadRefuser are ports whose refusals are
-// repeatable: a refused Access or Submit changes nothing but the port's
-// own stall counters, so the same request is refused again, identically,
-// until some event changes the port's state. RepeatRefusal applies n
-// more refusals without re-running the call — how Skip credits the
-// retries of skipped ticks. A tick refused by a port without this form
-// counts as Busy and is never skipped.
-type memRefuser interface {
-	RepeatRefusal(req *mem.Request, n uint64)
+// refuser is a port whose refusals are repeatable: a refused Access or
+// Submit changes nothing but the port's own stall counters, the same way
+// whichever request it refused, and the same call is refused again until
+// some event changes the port's state. RepeatRefusals applies n more
+// refusals without re-running the call — how Skip credits the retries
+// of skipped ticks. A tick refused by a port without this method counts
+// as Busy and is never skipped.
+type refuser interface {
+	RepeatRefusals(n uint64)
 }
 
-type offloadRefuser interface {
-	RepeatRefusal(inst *isa.OffloadInst, n uint64)
-}
+// The core's ports, indexing Core.refusers and stallRecord.refused.
+const (
+	portDcache = iota
+	portUmem
+	portOffload
+	numPorts
+)
 
 // stallRecord is one tick's stall-counter increments and refused
-// accesses. Every tick credits it once; a Stalled tick's record is the
-// stall cause, and Skip credits it again for each skipped repeat.
+// accesses per port. Every tick credits it once; a Stalled tick's
+// record is the stall cause, and Skip credits it again for each skipped
+// repeat.
 type stallRecord struct {
-	robFull  uint64
-	mob      uint64
-	fetch    uint64
-	retries  uint64
-	refusals []refusal
-}
-
-// refusal is one access a port refused during the tick: a memory
-// request (port set) or an offload instruction (inst set).
-type refusal struct {
-	port memRefuser
-	req  *mem.Request
-	inst *isa.OffloadInst
+	robFull uint64
+	mob     uint64
+	fetch   uint64
+	retries uint64
+	refused [numPorts]uint64
 }
 
 type entryState uint8
@@ -141,10 +138,9 @@ type Core struct {
 	umem    mem.Port    // uncacheable path (directly toward the cube)
 	offload OffloadPort // HMC/HIVE/HIPE instruction path
 
-	// The ports' repeatable-refusal forms (nil when a port has none).
-	dcacheR  memRefuser
-	umemR    memRefuser
-	offloadR offloadRefuser
+	// refusers holds each port's repeatable-refusal form (nil when the
+	// port has none).
+	refusers [numPorts]refuser
 
 	// busy records that the current tick changed pipeline state or
 	// depended on the clock; a tick that did neither is a stall the
@@ -230,9 +226,9 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 	c.stores = sc.Counter("stores")
 	c.offloads = sc.Counter("offload_insts")
 	c.cycles = sc.Counter("active_cycles")
-	c.dcacheR, _ = dcache.(memRefuser)
-	c.umemR, _ = umem.(memRefuser)
-	c.offloadR, _ = offloadPort.(offloadRefuser)
+	c.refusers[portDcache], _ = dcache.(refuser)
+	c.refusers[portUmem], _ = umem.(refuser)
+	c.refusers[portOffload], _ = offloadPort.(refuser)
 	c.domain = sim.NewClockDomain(engine, 1, c)
 	return c, nil
 }
@@ -288,7 +284,6 @@ func (c *Core) Reset() {
 	}
 	c.readyQ = c.readyQ[:0]
 	c.readyKeep = c.readyKeep[:0]
-	c.stall.refusals = c.stall.refusals[:0]
 	clear(c.producers)
 	c.mobReads, c.mobWrites = 0, 0
 	c.fetchStallUntil = 0
@@ -333,7 +328,7 @@ func (c *Core) Committed() uint64 { return c.committed.Value() }
 // event changes the state it read.
 func (c *Core) Tick(now sim.Cycle) sim.Activity {
 	c.busy = false
-	c.stall = stallRecord{refusals: c.stall.refusals[:0]}
+	c.stall = stallRecord{}
 	for i := range c.issuedThisCycle {
 		c.issuedThisCycle[i] = 0
 	}
@@ -364,11 +359,9 @@ func (c *Core) Tick(now sim.Cycle) sim.Activity {
 // Skip implements sim.Ticker: k repeats of the last, stalled tick.
 func (c *Core) Skip(k uint64) {
 	c.credit(k)
-	for _, r := range c.stall.refusals {
-		if r.port != nil {
-			r.port.RepeatRefusal(r.req, k)
-		} else {
-			c.offloadR.RepeatRefusal(r.inst, k)
+	for p, n := range c.stall.refused {
+		if n > 0 {
+			c.refusers[p].RepeatRefusals(k * n)
 		}
 	}
 }
@@ -383,15 +376,14 @@ func (c *Core) credit(n uint64) {
 	c.cacheRetry.Add(n * c.stall.retries)
 }
 
-// refusedAccess records a memory request port refused; r is the port's
-// repeatable-refusal form, nil if it has none, in which case the tick
-// cannot be skipped.
-func (c *Core) refusedAccess(r memRefuser, req *mem.Request) {
-	if r == nil {
+// refused records a refusal by port p. A port without a repeatable form
+// makes the tick impossible to skip.
+func (c *Core) refused(p int) {
+	if c.refusers[p] == nil {
 		c.busy = true
 		return
 	}
-	c.stall.refusals = append(c.stall.refusals, refusal{port: r, req: req})
+	c.stall.refused[p]++
 }
 
 func (c *Core) idle() bool {
@@ -552,14 +544,14 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			c.stall.mob++
 			return false
 		}
-		port, r := c.dcache, c.dcacheR
+		port, p := c.dcache, portDcache
 		if e.uop.Uncacheable {
-			port, r = c.umem, c.umemR
+			port, p = c.umem, portUmem
 		}
 		e.req = mem.Request{Addr: e.uop.Addr, Size: e.uop.Size, Kind: mem.Read, Done: e.loadDone}
 		if !port.Access(&e.req) {
 			c.stall.retries++
-			c.refusedAccess(r, &e.req)
+			c.refused(p)
 			return false
 		}
 		c.mobReads++
@@ -578,11 +570,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 		}
 		if !c.offload.Submit(e.uop.Offload, e.loadDone) {
 			c.stall.retries++
-			if c.offloadR == nil {
-				c.busy = true
-			} else {
-				c.stall.refusals = append(c.stall.refusals, refusal{inst: e.uop.Offload})
-			}
+			c.refused(portOffload)
 			return false
 		}
 		c.mobReads++
@@ -667,12 +655,12 @@ func (c *Core) commit(now sim.Cycle) {
 func (c *Core) drainStores() {
 	for c.pendingStores.Len() > 0 {
 		e := *c.pendingStores.Front()
-		port, r := c.dcache, c.dcacheR
+		port, p := c.dcache, portDcache
 		if e.uncacheable {
-			port, r = c.umem, c.umemR
+			port, p = c.umem, portUmem
 		}
 		if !port.Access(&e.req) {
-			c.refusedAccess(r, &e.req)
+			c.refused(p)
 			return
 		}
 		c.busy = true

@@ -12,8 +12,8 @@ import (
 
 // boundedPort is a constant-latency memory and offload port with a cap
 // on outstanding requests. Beyond the cap it refuses, counting the
-// refusal — the repeatable-refusal contract, whose RepeatRefusal forms
-// credit skipped retries.
+// refusal — the repeatable-refusal contract, whose RepeatRefusals
+// credits skipped retries.
 type boundedPort struct {
 	engine   *sim.Engine
 	latency  sim.Cycle
@@ -43,12 +43,7 @@ func (p *boundedPort) Submit(_ *isa.OffloadInst, done func(now sim.Cycle)) bool 
 	return p.accept(done)
 }
 
-func (p *boundedPort) RepeatRefusal(_ *mem.Request, n uint64) { p.refusals += n }
-
-// boundedOffload gives a boundedPort the offload form of the contract.
-type boundedOffload struct{ *boundedPort }
-
-func (p boundedOffload) RepeatRefusal(_ *isa.OffloadInst, n uint64) { p.refusals += n }
+func (p *boundedPort) RepeatRefusals(n uint64) { p.refusals += n }
 
 // randomStream draws a µop mix that stalls the core every way it can:
 // loads (some uncacheable) and offloads against small capped ports,
@@ -99,7 +94,7 @@ func runBounded(t *testing.T, ops []isa.MicroOp, metronome bool) (parkRun, uint6
 	off := &boundedPort{engine: e, latency: 90, cap: 2}
 	cfg := TableI("cpu0")
 	cfg.ROBSize, cfg.MOBReads, cfg.MOBWrites = 24, 8, 4
-	c, err := New(e, cfg, dmem, umem, boundedOffload{off}, reg)
+	c, err := New(e, cfg, dmem, umem, off, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

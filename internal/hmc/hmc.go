@@ -181,10 +181,10 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	return true
 }
 
-// RepeatRefusal credits n more refusals of inst, as the core does for
+// RepeatRefusals credits n more refused submits, as the core does for
 // retries it skipped. Submit refuses only when the in-flight window is
 // full, so each repeat counts one more window reject.
-func (e *Engine) RepeatRefusal(_ *isa.OffloadInst, n uint64) { e.rejected.Add(n) }
+func (e *Engine) RepeatRefusals(n uint64) { e.rejected.Add(n) }
 
 // exec runs cube-side on instruction arrival: issue the DRAM read.
 func (op *hmcOp) exec(*link.Packet) {

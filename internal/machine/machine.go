@@ -100,14 +100,9 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 	}
 }
 
-// RepeatRefusal credits n more refusals of inst. Only the HMC engine
-// refuses: the HIVE and HIPE sequencers buffer every instruction.
-func (m *offloadMux) RepeatRefusal(inst *isa.OffloadInst, n uint64) {
-	if inst.Target != isa.TargetHMC {
-		panic(fmt.Sprintf("machine: %s never refuses an offload", inst.Target))
-	}
-	m.hmc.RepeatRefusal(inst, n)
-}
+// RepeatRefusals credits n more refused submits. Only the HMC engine
+// refuses: the HIVE and HIPE sequencers accept every instruction.
+func (m *offloadMux) RepeatRefusals(n uint64) { m.hmc.RepeatRefusals(n) }
 
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
