@@ -394,3 +394,41 @@ func TestClusterAdaptiveQueryLearns(t *testing.T) {
 		t.Error("bucket samples never recorded on the decision")
 	}
 }
+
+// TestClusterAdmitLeavesAdaptiveStreamAlone: validating a request is
+// side-effect free. Admit calls ahead of the online queries must not
+// consume exploration draws, so every later pick matches a cluster
+// that was never asked to validate.
+func TestClusterAdmitLeavesAdaptiveStreamAlone(t *testing.T) {
+	req := Request{Plan: DefaultPlan(ArchAuto, db.DefaultQ06())}
+	picks := func(admits int) []string {
+		t.Helper()
+		c, err := New(sweep.Default(), testTable(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EnableAdaptive(cost.AdaptiveConfig{Seed: 3, ExplorePct: 50}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < admits; i++ {
+			if err := c.Admit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []string
+		for i := 0; i < 8; i++ {
+			resp, err := c.Query(req, Options{Exec: sweep.ExecEstimate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, resp.Request.Plan.Arch.String()+map[bool]string{true: "*"}[resp.Routing.Explored])
+		}
+		return out
+	}
+	fresh, admitted := picks(0), picks(5)
+	for i := range fresh {
+		if fresh[i] != admitted[i] {
+			t.Fatalf("Admit shifted the online picks:\n fresh    %v\n admitted %v", fresh, admitted)
+		}
+	}
+}

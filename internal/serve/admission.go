@@ -24,9 +24,10 @@ type ClassSpec struct {
 	// first.
 	PatienceCycles uint64
 	// TimeoutCycles bounds one attempt's virtual-time latency (queueing
-	// plus service) when a recovery policy is in force: an attempt that
-	// cannot complete every shard by dispatch + timeout is abandoned at
-	// the deadline and, retry budget permitting, re-dispatched. Zero
+	// plus service) when the load test injects faults or declares a
+	// recovery policy: an attempt that cannot complete every shard by
+	// dispatch + timeout is abandoned at the deadline and, retry budget
+	// permitting, re-dispatched. Zero
 	// means attempts are never timed out (a crashed replica then parks
 	// the attempt until the pool recovers).
 	TimeoutCycles uint64
@@ -63,8 +64,7 @@ type ClassStats struct {
 	LatencyP95 uint64
 	LatencyP99 uint64
 	// Recovery accounting, set only when the load test injected faults
-	// or declared a recovery policy (JSON-omitted otherwise, so
-	// fault-free reports are byte-identical to their pre-fault form).
+	// or declared a recovery policy (JSON-omitted otherwise).
 	// Degraded counts completed requests answered with a partial
 	// result after the retry budget ran out — a degraded request counts
 	// against SLO attainment no matter how fast it failed. Retries,
@@ -99,12 +99,9 @@ type ShedTrace struct {
 
 // classAccum accumulates one class's report row during the replay.
 type classAccum struct {
-	hist stats.LogHist
-	slo  stats.Attainment
-	row  ClassStats
-	// recovering marks a faulted/recovering replay: coverage and error
-	// means are derived (and emitted) only then.
-	recovering  bool
+	hist        stats.LogHist
+	slo         stats.Attainment
+	row         ClassStats
 	coverageSum float64
 	errSum      float64
 }
@@ -121,22 +118,11 @@ func newClassAccums(classes []ClassSpec) []classAccum {
 	return out
 }
 
-// observe folds one completed request into the class's row.
-func (a *classAccum) observe(latency uint64, hasSLO bool) {
-	a.row.Completed++
-	a.hist.Observe(latency)
-	if hasSLO {
-		a.slo.Observe(latency)
-	}
-}
-
-// observeRecovered folds one completed request of a faulted/recovering
-// replay into the row: latency and SLO accounting as usual, except
-// that a degraded (partial) answer counts as an SLO miss no matter how
-// quickly the fleet gave up — a wrong answer inside the latency bound
-// is still a broken objective.
-func (a *classAccum) observeRecovered(latency uint64, hasSLO, degraded bool, coverage, answerErr float64) {
-	a.recovering = true
+// observe folds one completed request into the class's row: latency
+// and SLO accounting, except that a degraded (partial) answer counts
+// as an SLO miss no matter how quickly the fleet gave up — a wrong
+// answer inside the latency bound is still a broken objective.
+func (a *classAccum) observe(latency uint64, hasSLO, degraded bool, coverage, answerErr float64) {
 	a.row.Completed++
 	a.hist.Observe(latency)
 	if hasSLO {
@@ -153,8 +139,9 @@ func (a *classAccum) observeRecovered(latency uint64, hasSLO, degraded bool, cov
 	a.errSum += answerErr
 }
 
-// finish freezes the row.
-func (a *classAccum) finish() ClassStats {
+// finish freezes the row; a recovering replay's row also carries the
+// coverage and answer-error means.
+func (a *classAccum) finish(recovering bool) ClassStats {
 	a.row.LatencyP50 = a.hist.Quantile(0.50)
 	a.row.LatencyP95 = a.hist.Quantile(0.95)
 	a.row.LatencyP99 = a.hist.Quantile(0.99)
@@ -162,7 +149,7 @@ func (a *classAccum) finish() ClassStats {
 		a.row.Attained = int(a.slo.Met)
 		a.row.Attainment = a.slo.Fraction()
 	}
-	if a.recovering && a.row.Completed > 0 {
+	if recovering && a.row.Completed > 0 {
 		a.row.MeanCoverage = a.coverageSum / float64(a.row.Completed)
 		a.row.MeanAnswerErr = a.errSum / float64(a.row.Completed)
 	}

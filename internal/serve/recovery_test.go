@@ -89,8 +89,8 @@ func TestFleetFaultRecovery(t *testing.T) {
 }
 
 // TestFleetFaultFreeByteIdentical: a disabled (zero) fault spec must
-// leave the whole report byte-identical to a plain fleet run — the
-// legacy dispatch path, not a faulty twin of it.
+// leave the whole report byte-identical to a plain fleet run: the
+// replay does not count it as recovering.
 func TestFleetFaultFreeByteIdentical(t *testing.T) {
 	f := testFleet(t, 2, query.HIPE, query.X86)
 	spec := fleetSpecs(t)["poisson"]
@@ -123,13 +123,14 @@ func TestFleetFaultFreeByteIdentical(t *testing.T) {
 }
 
 // TestFleetRecoveryPathMatchesLegacyWhenHealthy: with a recovery policy
-// declared but no faults and no timeouts, the recovery dispatch must
-// reproduce the legacy replay's timeline exactly — same pools, same
-// completions, same shed set.
+// declared but no faults and no timeouts, the replay must reproduce
+// the plain (non-recovering) timeline exactly — same pools, same
+// completions, same shed set — and differ only in the recovery fields
+// it publishes.
 func TestFleetRecoveryPathMatchesLegacyWhenHealthy(t *testing.T) {
 	f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
 	spec := fleetSpecs(t)["poisson"]
-	legacy, err := f.LoadTest(spec, Options{})
+	plain, err := f.LoadTest(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +142,14 @@ func TestFleetRecoveryPathMatchesLegacyWhenHealthy(t *testing.T) {
 	if rec.Faults == nil {
 		t.Fatal("recovering run missing fault totals")
 	}
-	if legacy.Completed != rec.Completed || legacy.Shed != rec.Shed {
-		t.Fatalf("healthy recovery replay served %d/shed %d, legacy %d/%d",
-			rec.Completed, rec.Shed, legacy.Completed, legacy.Shed)
+	if plain.Completed != rec.Completed || plain.Shed != rec.Shed {
+		t.Fatalf("healthy recovery replay served %d/shed %d, plain %d/%d",
+			rec.Completed, rec.Shed, plain.Completed, plain.Shed)
 	}
-	for i := range legacy.Requests {
-		l, r := legacy.Requests[i], rec.Requests[i]
+	for i := range plain.Requests {
+		l, r := plain.Requests[i], rec.Requests[i]
 		if l.Completion != r.Completion || l.Pool.Pool != r.Pool.Pool {
-			t.Fatalf("request %d: healthy recovery replay (pool %d, completion %d) diverged from legacy (pool %d, completion %d)",
+			t.Fatalf("request %d: healthy recovery replay (pool %d, completion %d) diverged from plain (pool %d, completion %d)",
 				l.Index, r.Pool.Pool, r.Completion, l.Pool.Pool, l.Completion)
 		}
 		if r.Attempts != 1 || r.Degraded || r.Coverage != 1 {
@@ -421,8 +422,8 @@ func TestLoadSpecRejectsBadFaultFields(t *testing.T) {
 
 // TestRecoveryGateZeroAlloc pins the faults-off fast path: the replay
 // gate plus a full set of health queries against the absent (nil)
-// injector must not allocate — the legacy dispatch stays exactly as
-// cheap as before the fault layer existed.
+// injector must not allocate, so a fault-free replay pays nothing per
+// shard task for the fault checks it runs.
 func TestRecoveryGateZeroAlloc(t *testing.T) {
 	rp := &fleetReplay{}
 	var sink bool

@@ -149,8 +149,7 @@ type Response struct {
 	// ExecMode is "estimate" when the response's shard cycles came from
 	// the analytic cost model rather than machine simulation (answers
 	// are exact either way; only timing is approximate). Empty — and
-	// JSON-omitted — for exact responses, so exact exports are
-	// byte-identical to their pre-mode form.
+	// JSON-omitted — for exact responses.
 	ExecMode string `json:",omitempty"`
 }
 
@@ -168,8 +167,8 @@ type Options struct {
 	// snapshots its machine's counter registry (plus the event engine's
 	// scheduler accounting) into the shard partial before the machine is
 	// recycled, and the snapshots roll up into responses and reports.
-	// Off by default — when off, no capture code runs and exports are
-	// byte-identical to their pre-observability form.
+	// Off by default — when off, no capture code runs and exports carry
+	// no counter fields.
 	Counters bool
 	// Trace enables the virtual-time request tracer in load tests:
 	// per-request spans (arrival, routing/shed decisions, per-shard
@@ -183,9 +182,8 @@ type Options struct {
 	// built — while answers still come from the shard reference
 	// evaluators, so merges verify exactly and only timing is
 	// approximate. Estimate responses and reports carry an "estimate"
-	// mode marker; exact exports are byte-identical to runs made before
-	// this knob existed. See internal/sweep's ExecMode and
-	// docs/PERFORMANCE.md for the error contract.
+	// mode marker; exact ones carry none. See internal/sweep's ExecMode
+	// and docs/PERFORMANCE.md for the error contract.
 	Exec sweep.ExecMode
 }
 
@@ -269,7 +267,7 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 	if cfg.Machine != nil {
 		mc = *cfg.Machine
 	} else {
-		mc.ImageBytes = shardImageBytes(shards[0].N)
+		mc.ImageBytes = db.ImageBytesFor(shards[0].N)
 	}
 	em := energy.Default()
 	if cfg.Energy != nil {
@@ -309,8 +307,8 @@ func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 }
 
 // Calibrate replaces the routing planner's cost model and drops every
-// cached routing decision. Answers and exact-mode service times are
-// untouched — the simulated machines keep their real timing — so a
+// cached routing decision. Answers and exact-mode service times do not
+// change — the simulated machines keep their real timing — so a
 // drifted calibration changes only which backend the planner predicts
 // fastest. This is the hook mis-calibration experiments and the
 // adaptive-routing benchmarks use to pull the analytic prior away from
@@ -323,35 +321,6 @@ func (c *Cluster) Calibrate(p cost.Params) {
 	c.mu.Unlock()
 }
 
-// adaptiveRerank re-ranks a routing decision under adaptive state: the
-// candidate set and analytic estimates are reused, queue penalties are
-// zero (no replica backlog on a single cluster), and the blend and
-// exploration provenance land on a fresh decision, leaving the cached
-// static decision untouched.
-func adaptiveRerank(ad *cost.Adaptive, index int, d *cost.Decision) *cost.Decision {
-	kind := d.Chosen.Kind
-	obsCycles := make([]float64, len(d.Estimates))
-	samples := make([]uint64, len(d.Estimates))
-	for i := range d.Estimates {
-		blended, _, n := ad.Blended(kind, d.Estimates[i].Plan.Arch, d.Selectivity, d.Estimates[i].Cycles)
-		if n > 0 {
-			obsCycles[i] = blended
-		}
-		samples[i] = n
-	}
-	nd, err := cost.RankLoaded(d.Selectivity, d.Estimates, make([]float64, len(d.Estimates)), obsCycles)
-	if err != nil {
-		return d
-	}
-	nd.BucketSamples = samples
-	if j, ok := ad.ExplorePick(index, len(nd.Estimates)); ok {
-		nd.ChosenIndex = j
-		nd.Chosen = nd.Estimates[j].Plan
-		nd.Explored = true
-	}
-	return nd
-}
-
 // routeKey identifies one distinct routable query.
 type routeKey struct {
 	kind query.QueryKind
@@ -360,21 +329,8 @@ type routeKey struct {
 	agg  bool
 }
 
-// shardImageBytes sizes a machine image for an n-row shard (see
-// db.ImageBytesFor).
-func shardImageBytes(n int) uint64 { return db.ImageBytesFor(n) }
-
 // Shards reports the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
-
-// ShardRows reports each shard's row count, in shard order.
-func (c *Cluster) ShardRows() []int {
-	rows := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		rows[i] = s.N
-	}
-	return rows
-}
 
 // Rows reports the whole table's row count.
 func (c *Cluster) Rows() int { return c.whole.N }
@@ -382,16 +338,11 @@ func (c *Cluster) Rows() int { return c.whole.N }
 // Admit validates a request against the cluster: the plan must be
 // inside the evaluated envelope — including the table-dependent
 // bounds, checked against the largest shard — and executable on every
-// shard. ArchAuto requests are validated through their resolution.
+// shard. ArchAuto requests are validated through their static
+// resolution, so validating never consumes an online adaptive draw.
 func (c *Cluster) Admit(req Request) error {
-	if req.Plan.Auto() {
-		_, _, err := c.resolve(req)
-		return err
-	}
-	if err := req.Plan.ValidateFor(c.maxShardRows()); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
+	_, _, err := c.resolve(req)
+	return err
 }
 
 func (c *Cluster) maxShardRows() int {
@@ -404,17 +355,33 @@ func (c *Cluster) maxShardRows() int {
 	return maxRows
 }
 
-// resolve routes an ArchAuto request to the predicted-fastest backend:
-// the candidates are every registered backend's best serving shape over
-// the request's predicate, trimmed to the plans every shard can
-// execute, ranked by the cost model against the served table's
-// selectivity profile. Fixed-architecture requests pass through
-// untouched. Decisions are cached per distinct predicate and are pure
-// functions of the cluster's table, so routing is deterministic and
-// auditable (the decision lands in Response.Routing and the report's
-// routing columns).
+// autoPlan is backend b's best serving shape over an ArchAuto request
+// plan's predicate, aggregating in memory when the request asks for it
+// and the backend can.
+func autoPlan(req query.Plan, b query.Backend) query.Plan {
+	if req.Kind == query.Q1Agg {
+		return DefaultQ1Plan(b.Arch(), req.Q1)
+	}
+	p := DefaultPlan(b.Arch(), req.Q)
+	p.Aggregate = req.Aggregate && b.Caps().Aggregate
+	return p
+}
+
+// resolve validates a request and routes an ArchAuto request to the
+// predicted-fastest backend: the candidates are every registered
+// backend's best serving shape over the request's predicate, trimmed
+// to the plans every shard can execute, ranked by the cost model
+// against the served table's selectivity profile. A fixed-architecture
+// request comes back as it was, with a nil decision. Decisions are
+// cached per distinct predicate and are pure functions of the
+// cluster's table, so routing is deterministic and auditable (the
+// decision lands in Response.Routing and the report's routing columns).
 func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
+	maxRows := c.maxShardRows()
 	if !req.Plan.Auto() {
+		if err := req.Plan.ValidateFor(maxRows); err != nil {
+			return req, nil, fmt.Errorf("serve: %w", err)
+		}
 		return req, nil, nil
 	}
 	key := routeKey{kind: req.Plan.Kind, q: req.Plan.Q, q1: req.Plan.Q1, agg: req.Plan.Aggregate}
@@ -422,20 +389,11 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 	d, ok := c.routes[key]
 	c.mu.Unlock()
 	if !ok {
-		maxRows := c.maxShardRows()
 		var candidates []query.Plan
 		for _, b := range query.Backends() {
-			var p query.Plan
-			if req.Plan.Kind == query.Q1Agg {
-				p = DefaultQ1Plan(b.Arch(), req.Plan.Q1)
-			} else {
-				p = DefaultPlan(b.Arch(), req.Plan.Q)
-				p.Aggregate = req.Plan.Aggregate && b.Caps().Aggregate
+			if p := autoPlan(req.Plan, b); p.ValidateFor(maxRows) == nil {
+				candidates = append(candidates, p)
 			}
-			if p.ValidateFor(maxRows) != nil {
-				continue
-			}
-			candidates = append(candidates, p)
 		}
 		var err error
 		d, err = cost.PickSharded(c.params, c.shards, candidates)
@@ -446,16 +404,6 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 		c.routes[key] = d
 		c.mu.Unlock()
 	}
-	// With online adaptive routing enabled, the cached static decision
-	// only supplies the candidate set and analytic priors; the pick
-	// itself is re-made against the current observation state, so it can
-	// evolve as completed queries feed cycles back in.
-	c.adaptMu.Lock()
-	if c.adapt != nil {
-		d = adaptiveRerank(c.adapt, c.adaptSeq, d)
-		c.adaptSeq++
-	}
-	c.adaptMu.Unlock()
 	req.Plan = d.Chosen
 	return req, d, nil
 }
@@ -638,75 +586,89 @@ func (c *Cluster) mergeQ1(req Request, resp *Response, parts []ShardPartial) (*R
 	return resp, nil
 }
 
-// Query admits one request — routing ArchAuto requests to the
-// predicted-fastest backend first — scatters it across every shard
-// (shard simulations run concurrently, bounded by opt's executor
-// pool), gathers the partials, and returns the merged answer verified
-// against the unsharded reference evaluator. Safe for concurrent
-// callers.
-func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	req, routing, err := c.resolve(req)
+// execute is the online compute stage: one resolved request's plan
+// scattered across every shard on the bounded executor pool, gathered
+// and verified.
+func (c *Cluster) execute(req Request, opt Options) (*Response, error) {
+	byPlan, err := c.runPlanSet([]query.Plan{req.Plan}, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Admit(req); err != nil {
-		return nil, err
-	}
-	parts := make([]ShardPartial, len(c.shards))
-	errs := make([]error, len(c.shards))
-	workers := opt.EffectiveWorkers()
-	if workers > len(c.shards) {
-		workers = len(c.shards)
-	}
-	indices := make(chan int)
-	var done sync.WaitGroup
-	var progressMu sync.Mutex
-	completed := 0
-	for w := 0; w < workers; w++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			for s := range indices {
-				parts[s], errs[s] = c.runShard(s, req.Plan, opt)
-				if opt.OnTask != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnTask(completed, len(c.shards))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for s := range c.shards {
-		indices <- s
-	}
-	close(indices)
-	done.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", s, err)
-		}
-	}
-	resp, err := c.merge(req, parts)
+	resp, err := c.merge(req, byPlan[0])
 	if err != nil {
 		return nil, err
-	}
-	resp.Routing = routing
-	// Close the feedback loop for routed online queries: the observed
-	// critical-path cycles of the completed request update the chosen
-	// backend's (kind, selectivity-bucket) cell.
-	if routing != nil {
-		c.adaptMu.Lock()
-		if c.adapt != nil {
-			c.adapt.Observe(req.Plan.Kind, req.Plan.Arch, routing.Selectivity, float64(resp.Cycles))
-		}
-		c.adaptMu.Unlock()
 	}
 	if opt.Exec == sweep.ExecEstimate {
 		resp.ExecMode = opt.Exec.String()
 	}
+	return resp, nil
+}
+
+// adaptiveRoute ranks one online query's candidates at zero backlog
+// against the EnableAdaptive state, taking the query's exploration
+// index. It returns a nil decision when adaptive routing is off, plus
+// the state the completed query must feed its cycles back into.
+func (c *Cluster) adaptiveRoute(cands []fleetCand) (*cost.Decision, *cost.Adaptive, error) {
+	c.adaptMu.Lock()
+	defer c.adaptMu.Unlock()
+	if c.adapt == nil {
+		return nil, nil, nil
+	}
+	d, err := rank(c.adapt, c.adaptSeq, cands, make([]float64, len(cands)), nil)
+	c.adaptSeq++
+	return d, c.adapt, err
+}
+
+// observe closes the online feedback loop: the chosen candidate's
+// (kind, backend, selectivity-bucket) cell absorbs the completed
+// query's critical-path cycles. A nil state is a no-op.
+func (c *Cluster) observe(ad *cost.Adaptive, chosen fleetCand, cycles uint64) {
+	if ad == nil {
+		return
+	}
+	c.adaptMu.Lock()
+	ad.Observe(chosen.plan.Kind, chosen.plan.Arch, chosen.sel, float64(cycles))
+	c.adaptMu.Unlock()
+}
+
+// Query admits one request — routing ArchAuto requests to the
+// predicted-fastest backend first, re-ranked against observed cycles
+// when EnableAdaptive is on — scatters it across every shard (shard
+// simulations run concurrently, bounded by opt's executor pool),
+// gathers the partials, and returns the merged answer verified against
+// the unsharded reference evaluator. Safe for concurrent callers.
+func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	req, d, err := c.resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	var ad *cost.Adaptive
+	var chosen fleetCand
+	if d != nil {
+		// The cached static decision supplies the candidates and their
+		// analytic priors; an adaptive pick re-ranks them.
+		cands := make([]fleetCand, len(d.Estimates))
+		for i, est := range d.Estimates {
+			cands[i] = fleetCand{plan: est.Plan, est: est, sel: d.Selectivity}
+		}
+		ranked, state, err := c.adaptiveRoute(cands)
+		if err != nil {
+			return nil, err
+		}
+		if ranked != nil {
+			d, ad = ranked, state
+		}
+		chosen = cands[d.ChosenIndex]
+		req.Plan = d.Chosen
+	}
+	resp, err := c.execute(req, opt)
+	if err != nil {
+		return nil, err
+	}
+	resp.Routing = d
+	c.observe(ad, chosen, resp.Cycles)
 	return resp, nil
 }

@@ -168,11 +168,11 @@ func TestShardRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, n := range c.ShardRows() {
-		if n%64 != 0 {
-			t.Fatalf("shard rows %d not a multiple of 64", n)
+	for _, s := range c.shards {
+		if s.N%64 != 0 {
+			t.Fatalf("shard rows %d not a multiple of 64", s.N)
 		}
-		total += n
+		total += s.N
 	}
 	if total != testRows || c.Shards() != 3 {
 		t.Fatalf("shards cover %d rows across %d shards", total, c.Shards())

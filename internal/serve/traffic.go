@@ -1,9 +1,10 @@
 // The traffic layer: deterministic request-stream generation, open- and
-// closed-loop load specifications, and the virtual-time scheduler that
-// turns per-(request, shard) service times into a serving timeline.
+// closed-loop load specifications, and the compute stage that turns
+// distinct plans into per-(plan, shard) service times for the replay
+// (replay.go) to lay out on a serving timeline.
 //
 // The split that keeps load tests deterministic: the executor pool
-// (real goroutines) only computes service times, indexed by (request,
+// (real goroutines) only computes service times, indexed by (plan,
 // shard); the timeline — arrivals, per-shard FIFO queues, completions,
 // latencies — is then replayed single-threaded in virtual simulated
 // cycles. Reports are therefore byte-identical at any worker count.
@@ -12,7 +13,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -21,7 +21,6 @@ import (
 	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/stats"
-	"github.com/hipe-sim/hipe/internal/sweep"
 )
 
 // StreamSpec declares a mixed request stream: N requests drawn with a
@@ -47,8 +46,7 @@ type StreamSpec struct {
 	// TPC-H Q01-style grouped aggregation over Q1Query — a mixed
 	// selection/aggregation stream, the traffic shape of a reporting
 	// dashboard riding on an operational fleet. Zero keeps the stream
-	// pure Q06, bit-identical to streams generated before this knob
-	// existed.
+	// pure Q06.
 	Q1Every int
 	// Q1Query is the aggregation predicate (zero value: DefaultQ01).
 	Q1Query db.Q01
@@ -93,7 +91,7 @@ func (s StreamSpec) Requests() ([]Request, error) {
 	r := db.NewRNG(s.Seed)
 	// Classes draw from their own decorrelated stream: the main
 	// generator's sequence — and therefore every predicate and plan in
-	// the stream — is untouched by the class knob.
+	// the stream — does not depend on the class knob.
 	cr := db.NewRNG(s.Seed ^ 0x0C1A_55E5_C1A5_5E50)
 	reqs := make([]Request, s.N)
 	for i := range reqs {
@@ -196,7 +194,7 @@ type LoadSpec struct {
 	// single-threaded virtual-time replay — so adaptive reports stay
 	// byte-identical at any worker count. Only Fleet.LoadTest honours
 	// it; Cluster.LoadTest rejects specs that set it. Nil keeps routing
-	// fully static and exports byte-identical to the pre-adaptive layer.
+	// static: the analytic prior plus queue depth.
 	Adaptive *cost.AdaptiveConfig
 }
 
@@ -396,6 +394,15 @@ func (s LoadSpec) validate() error {
 	return nil
 }
 
+// classes returns the declared admission classes, or the one "default"
+// class with no SLO when none are declared.
+func (s LoadSpec) classes() []ClassSpec {
+	if len(s.Classes) == 0 {
+		return []ClassSpec{{Name: "default"}}
+	}
+	return s.Classes
+}
+
 // arrivals materialises the open-loop arrival times and the admitted
 // request count (requests past DurationCycles are dropped).
 func (s LoadSpec) arrivals() []uint64 {
@@ -425,12 +432,11 @@ func (s LoadSpec) arrivals() []uint64 {
 
 // LoadTest runs the load spec against the cluster: it admits the
 // stream — routing ArchAuto requests to their predicted-fastest
-// backend first — computes every (request, shard) service time on the
-// bounded executor pool, verifies every merged answer against the
-// unsharded reference evaluator, replays the serving timeline in
-// virtual time, and returns the report. Deterministic at any worker
-// count (routing happens once, single-threaded, before any worker
-// runs, and decisions are pure functions of the served table).
+// backend first — and hands it to the fleet replay (fleetReplay.run)
+// as a one-pool fleet whose single replica serves every backend and
+// whose routing is the admission-time decision. Deterministic at any
+// worker count (routing happens once, single-threaded, before any
+// worker runs, and decisions are pure functions of the served table).
 func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -447,78 +453,17 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if spec.Adaptive != nil {
 		return nil, fmt.Errorf("serve: adaptive routing needs a replicated fleet (use Fleet.LoadTest)")
 	}
-	resolved := make([]Request, len(spec.Requests))
-	routings := make([]*cost.Decision, len(spec.Requests))
+	cands := make([][]fleetCand, len(spec.Requests))
+	static := make([]*cost.Decision, len(spec.Requests))
 	for i, req := range spec.Requests {
 		r, d, err := c.resolve(req)
 		if err != nil {
 			return nil, fmt.Errorf("serve: request %d: %w", i, err)
 		}
-		if err := c.Admit(r); err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
-		}
-		resolved[i], routings[i] = r, d
+		cands[i], static[i] = []fleetCand{{plan: r.Plan}}, d
 	}
-
-	// Open loop fixes the issued set (and arrival times) up front;
-	// closed loop issues every request.
-	var arrivalTimes []uint64
-	reqs := resolved
-	offered := len(reqs)
-	if spec.Mode == Open {
-		arrivalTimes = spec.arrivals()
-		reqs = reqs[:len(arrivalTimes)]
-		if len(reqs) == 0 {
-			return nil, fmt.Errorf("serve: no request arrives inside %d cycles", spec.DurationCycles)
-		}
-	}
-
-	parts, byPlan, err := c.runAll(reqs, opt)
-	if err != nil {
-		return nil, err
-	}
-	responses := make([]*Response, len(reqs))
-	for i, req := range reqs {
-		resp, err := c.merge(req, parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
-		}
-		resp.Routing = routings[i]
-		if opt.Exec == sweep.ExecEstimate {
-			resp.ExecMode = opt.Exec.String()
-		}
-		responses[i] = resp
-	}
-
-	r := &Report{
-		Mode:    spec.Mode.String(),
-		Shards:  len(c.shards),
-		Rows:    c.whole.N,
-		Offered: offered,
-	}
-	if opt.Exec == sweep.ExecEstimate {
-		r.ExecMode = opt.Exec.String()
-	}
-	// The report's counter total sums each distinct (plan, shard)
-	// simulation exactly once — requests sharing a plan share one run,
-	// so summing per-request responses would double-count it.
-	if opt.Counters {
-		r.Counters = sumPlanCounters(byPlan)
-	}
-	var tr *obs.Trace
-	if opt.Trace {
-		tr = obs.NewTrace()
-		nameClusterTracks(tr, len(c.shards))
-	}
-	switch spec.Mode {
-	case Open:
-		c.scheduleOpen(r, responses, arrivalTimes, parts, tr)
-	case Closed:
-		c.scheduleClosed(r, responses, parts, spec.Concurrency, tr)
-	}
-	r.Trace = tr
-	r.finish()
-	return r, nil
+	one := &Fleet{Cluster: c, pools: []query.Arch{query.ArchAuto}}
+	return (&fleetReplay{fleet: one, static: static}).run(spec, opt, cands)
 }
 
 // sumPlanCounters folds the per-(plan, shard) counter snapshots into
@@ -533,17 +478,6 @@ func sumPlanCounters(byPlan [][]ShardPartial) *obs.Counters {
 	return total
 }
 
-// nameClusterTracks labels the trace's tracks: pid 0 is the
-// request/router timeline, pid 1 the (single-replica) cluster with one
-// thread per shard.
-func nameClusterTracks(tr *obs.Trace, shards int) {
-	tr.NameProcess(0, "requests")
-	tr.NameProcess(1, "cluster")
-	for s := 0; s < shards; s++ {
-		tr.NameThread(1, s, fmt.Sprintf("shard %d", s))
-	}
-}
-
 // taskKey identifies one distinct shard simulation. Identical plans
 // over the same shard are bit-identical runs, so mixed streams — which
 // repeat a small set of plans — dedupe to far fewer simulations than
@@ -553,41 +487,14 @@ type taskKey struct {
 	shard int
 }
 
-// runAll computes every (request, shard) service time and partial on
-// the executor pool, simulating each distinct (plan, shard) pair
-// exactly once. Task order is first occurrence in the request stream,
-// and results are indexed, so worker scheduling cannot leak into them.
-// Both views of the results are returned: per request (sharing slices
-// across requests with equal plans) and per distinct plan — the latter
-// is what counter totals must sum over to count each simulation once.
-func (c *Cluster) runAll(reqs []Request, opt Options) (parts, byPlan [][]ShardPartial, err error) {
-	index := map[query.Plan]int{}
-	var plans []query.Plan
-	for _, req := range reqs {
-		if _, ok := index[req.Plan]; !ok {
-			index[req.Plan] = len(plans)
-			plans = append(plans, req.Plan)
-		}
-	}
-	byPlan, err = c.runPlanSet(plans, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts = make([][]ShardPartial, len(reqs))
-	for ri, req := range reqs {
-		parts[ri] = byPlan[index[req.Plan]]
-	}
-	return parts, byPlan, nil
-}
-
 // runPlanSet computes the per-shard partials for a set of distinct
 // plans on the bounded executor pool, one task per (plan, shard). The
 // returned slice is indexed [plan][shard], in the caller's plan order;
 // results are slot-indexed so worker scheduling cannot leak into them,
 // and the returned error is the first failure in (plan, shard) order.
-// This is the shared compute stage under both Cluster.LoadTest (one
-// plan per distinct request plan) and Fleet.LoadTest (one plan per
-// distinct routing candidate across every pool).
+// This is the one compute stage under every query and load test: one
+// plan for an online query, one per distinct routing candidate across
+// every pool for a load test.
 func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial, error) {
 	nShards := len(c.shards)
 	keys := make([]taskKey, 0, len(plans)*nShards)
@@ -638,105 +545,6 @@ func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial,
 		out[pi] = results[pi*nShards : (pi+1)*nShards : (pi+1)*nShards]
 	}
 	return out, nil
-}
-
-// scheduleOpen replays the open-loop timeline: requests fan out to
-// every shard in arrival order, each shard serves its queue FIFO, and a
-// request completes when its slowest shard task does.
-func (c *Cluster) scheduleOpen(r *Report, responses []*Response, arrivals []uint64, parts [][]ShardPartial, tr *obs.Trace) {
-	shardFree := make([]uint64, len(c.shards))
-	r.PerShard = newShardStats(len(c.shards))
-	for i, resp := range responses {
-		r.Requests = append(r.Requests,
-			c.dispatch(resp, i, -1, arrivals[i], parts[i], shardFree, r.PerShard, tr))
-	}
-}
-
-// scheduleClosed replays the closed-loop timeline: concurrency clients
-// share the request stream; each client issues the next unissued
-// request the moment its previous one completes (zero think time).
-// Ties break on client index, so the replay is fully deterministic.
-func (c *Cluster) scheduleClosed(r *Report, responses []*Response, parts [][]ShardPartial, concurrency int, tr *obs.Trace) {
-	if concurrency > len(responses) {
-		concurrency = len(responses)
-	}
-	shardFree := make([]uint64, len(c.shards))
-	clientFree := make([]uint64, concurrency)
-	r.PerShard = newShardStats(len(c.shards))
-	for i, resp := range responses {
-		// The next issue slot is the earliest-free client; arrivals are
-		// therefore nondecreasing, which keeps shard FIFO order valid.
-		client := 0
-		for cl := 1; cl < concurrency; cl++ {
-			if clientFree[cl] < clientFree[client] {
-				client = cl
-			}
-		}
-		reqTr := c.dispatch(resp, i, client, clientFree[client], parts[i], shardFree, r.PerShard, tr)
-		clientFree[client] = reqTr.Completion
-		r.Requests = append(r.Requests, reqTr)
-	}
-	r.Concurrency = concurrency
-}
-
-// dispatch queues one request's shard tasks FIFO behind each shard's
-// earlier work and returns its trace. When tr is recording it emits
-// the request's span tree: an async request span on the router track
-// (pid 0) bracketing a routing instant, one complete span per shard
-// task on the cluster track (pid 1, tid = shard), and a merge instant
-// at completion. All span times are virtual cycles from this
-// single-threaded replay, so traces are byte-identical at any worker
-// count; the On() gates keep the disabled path allocation-free.
-func (c *Cluster) dispatch(resp *Response, index, client int, arrival uint64,
-	parts []ShardPartial, shardFree []uint64, perShard []ShardStats, tr *obs.Trace) RequestTrace {
-	var reqName string
-	if tr.On() {
-		reqName = fmt.Sprintf("q%d %s", index, resp.Request.Plan.Arch)
-		tr.Begin(reqName, "request", 0, index, arrival,
-			obs.Arg{Key: "arch", Val: resp.Request.Plan.Arch.String()})
-		if resp.Routing != nil {
-			tr.Instant("route", "routing", 0, 0, arrival,
-				obs.Arg{Key: "chosen", Val: resp.Routing.Chosen.Arch.String()},
-				obs.Arg{Key: "candidates", Val: strconv.Itoa(len(resp.Routing.Estimates))})
-		}
-	}
-	var completion uint64
-	for s, p := range parts {
-		start := arrival
-		if shardFree[s] > start {
-			start = shardFree[s]
-		}
-		end := start + p.Cycles
-		shardFree[s] = end
-		perShard[s].Tasks++
-		perShard[s].BusyCycles += p.Cycles
-		if end > completion {
-			completion = end
-		}
-		if tr.On() {
-			tr.Complete(reqName, "shard", 1, s, start, end,
-				obs.Arg{Key: "matches", Val: strconv.Itoa(p.Matches)})
-		}
-	}
-	if tr.On() {
-		tr.Instant("merge", "merge", 0, 0, completion,
-			obs.Arg{Key: "matches", Val: strconv.Itoa(resp.Matches)})
-		tr.End(reqName, "request", 0, index, completion,
-			obs.Arg{Key: "latency_cycles", Val: strconv.FormatUint(completion-arrival, 10)})
-	}
-	return RequestTrace{
-		Index:      index,
-		Client:     client,
-		Plan:       resp.Request.Plan,
-		Routing:    resp.Routing,
-		Arrival:    arrival,
-		Completion: completion,
-		Latency:    completion - arrival,
-		Service:    resp.Cycles,
-		Work:       resp.WorkCycles,
-		Matches:    resp.Matches,
-		Revenue:    resp.Revenue,
-	}
 }
 
 func newShardStats(n int) []ShardStats {
