@@ -64,7 +64,7 @@ func TestLoadTestCountersRollUp(t *testing.T) {
 }
 
 // TestLoadTestCountersOffIsClean: with counters off nothing carries a
-// snapshot and exports keep their pre-observability schema.
+// snapshot and exports carry no counter fields.
 func TestLoadTestCountersOffIsClean(t *testing.T) {
 	c := testCluster(t, 2)
 	spec := OpenLoop(testStream(t, 4), 50_000, 0, 11)

@@ -57,8 +57,7 @@ type RequestTrace struct {
 	Matches int
 	Revenue int64
 	// Recovery accounting, set only by faulted/recovering replays and
-	// JSON-omitted otherwise, so fault-free reports are byte-identical
-	// to their pre-fault form. Attempts counts the dispatches (1 =
+	// JSON-omitted otherwise. Attempts counts the dispatches (1 =
 	// first try succeeded); Hedges the hedged second attempts; HedgeWon
 	// whether a hedge supplied the winning completion.
 	Attempts int  `json:",omitempty"`
@@ -122,9 +121,8 @@ type Report struct {
 	// ExecMode is "estimate" when the test priced shard service times
 	// with the analytic cost model instead of machine simulation
 	// (answers stay exact; only timing is approximate). Empty — and
-	// JSON-omitted — on exact reports, so they are byte-identical to
-	// their pre-mode form. Exported CSV rows gain an exec_mode column
-	// only when this is set.
+	// JSON-omitted — on exact reports. Exported CSV rows gain an
+	// exec_mode column only when this is set.
 	ExecMode string `json:",omitempty"`
 	// Shards is the fleet size; Rows the whole-table row count.
 	Shards int
@@ -170,9 +168,7 @@ type Report struct {
 	Faults   *FaultStats `json:",omitempty"`
 	// Counters is the machine-counter total over the test — every
 	// distinct (plan, shard) simulation summed exactly once — when
-	// Options.Counters was set; nil (and JSON-omitted) otherwise, so
-	// counter-off reports are byte-identical to their pre-observability
-	// form.
+	// Options.Counters was set; nil (and JSON-omitted) otherwise.
 	Counters *obs.Counters `json:",omitempty"`
 	// Trace is the virtual-time span timeline when Options.Trace was
 	// set; nil otherwise. It exports through WriteChromeTrace and
@@ -183,10 +179,8 @@ type Report struct {
 	Requests []RequestTrace
 }
 
-// CSVHeader is the column layout of WriteCSV: one row per request.
-// Reports containing routed (ArchAuto) requests append the
-// routing-decision columns of RoutingCSVHeader, so fixed-architecture
-// exports stay byte-identical to their pre-planner form.
+// CSVHeader is the base column layout of WriteCSV: one row per
+// request. The optional column families of csvFamilies follow it.
 var CSVHeader = []string{
 	"index", "client", "arch", "strategy", "opsize_b", "unroll", "fused", "aggregate",
 	"ship_lo", "ship_hi", "disc_lo", "disc_hi", "qty_hi",
@@ -204,30 +198,6 @@ func RoutingCSVHeader() []string {
 		cols = append(cols, "est_"+name+"_cycles")
 	}
 	return cols
-}
-
-// FleetCSVHeader returns the columns appended for fleet reports: the
-// request's class, the routed (pool, backend) pair, the backlog the
-// pick absorbed, and the class's SLO bound plus whether this request
-// met it.
-func FleetCSVHeader() []string {
-	return []string{"class", "pool", "pool_arch", "queue_cycles", "slo_cycles", "slo_met"}
-}
-
-// FaultCSVHeader returns the columns appended for faulted/recovering
-// reports: the request's attempt and hedge counts, whether it
-// degraded, and the partial answer's coverage and relative errors.
-func FaultCSVHeader() []string {
-	return []string{"attempts", "hedges", "degraded", "coverage", "err_matches", "err_revenue"}
-}
-
-// AdaptiveCSVHeader returns the columns appended for adaptive-routing
-// reports: the pick's route mode ("adaptive", or "static" for rows the
-// feedback router never saw), the chosen candidate's blended observed
-// cycles (blank while its bucket was cold), its bucket's sample count,
-// and whether the exploration floor overrode the pick.
-func AdaptiveCSVHeader() []string {
-	return []string{"route_mode", "obs_cycles", "bucket_samples", "explored"}
 }
 
 // HasFaults reports whether the report came from a faulted/recovering
@@ -274,50 +244,97 @@ func (r *Report) HasFleet() bool {
 	return len(r.Pools) > 0
 }
 
-// WriteCSV writes the per-request traces as CSV with CSVHeader's
-// columns (plus FleetCSVHeader for fleet reports, plus FaultCSVHeader
-// for faulted runs, plus RoutingCSVHeader when the report contains
-// routed requests, plus AdaptiveCSVHeader when any pick blended
-// observed cycles, plus an exec_mode column for estimate-mode reports
-// — in that order), in request-index order. Pre-fleet, exact,
-// fixed-architecture exports stay byte-identical to their original
-// form, and adaptive-off exports to their pre-adaptive form.
+// csvFamily is one optional column family of WriteCSV: its header
+// columns, the predicate under which a report carries them, and the
+// formatter of one request's cells.
+type csvFamily struct {
+	header  func() []string
+	present func(r *Report) bool
+	cells   func(r *Report, tr *RequestTrace) []string
+}
+
+// csvFamilies is WriteCSV's column registry, in column order after
+// CSVHeader:
+//   - fleet reports: the request's class, the routed (pool, backend)
+//     pair, the backlog the pick absorbed, and the class's SLO bound
+//     plus whether this request met it;
+//   - faulted/recovering reports: the attempt and hedge counts, whether
+//     the request degraded, and the partial answer's coverage and
+//     relative errors;
+//   - reports with routed (ArchAuto) requests: RoutingCSVHeader;
+//   - adaptive-routing reports: the pick's route mode ("adaptive", or
+//     "static" for rows the feedback router never saw), the chosen
+//     candidate's blended observed cycles (blank while its bucket was
+//     cold), its bucket's sample count, and whether the exploration
+//     floor overrode the pick;
+//   - estimate-mode reports: the exec_mode marker.
+var csvFamilies = []csvFamily{
+	{
+		header: func() []string {
+			return []string{"class", "pool", "pool_arch", "queue_cycles", "slo_cycles", "slo_met"}
+		},
+		present: (*Report).HasFleet,
+		cells:   (*Report).fleetColumns,
+	},
+	{
+		header: func() []string {
+			return []string{"attempts", "hedges", "degraded", "coverage", "err_matches", "err_revenue"}
+		},
+		present: (*Report).HasFaults,
+		cells: func(_ *Report, tr *RequestTrace) []string {
+			return []string{
+				strconv.Itoa(tr.Attempts),
+				strconv.Itoa(tr.Hedges),
+				strconv.FormatBool(tr.Degraded),
+				strconv.FormatFloat(tr.Coverage, 'g', -1, 64),
+				strconv.FormatFloat(tr.ErrMatches, 'g', -1, 64),
+				strconv.FormatFloat(tr.ErrRevenue, 'g', -1, 64),
+			}
+		},
+	},
+	{
+		header:  RoutingCSVHeader,
+		present: (*Report).HasRouting,
+		cells:   func(_ *Report, tr *RequestTrace) []string { return routingColumns(tr.Routing) },
+	},
+	{
+		header:  func() []string { return []string{"route_mode", "obs_cycles", "bucket_samples", "explored"} },
+		present: (*Report).HasAdaptive,
+		cells:   func(_ *Report, tr *RequestTrace) []string { return adaptiveColumns(tr.Routing) },
+	},
+	{
+		header:  func() []string { return []string{"exec_mode"} },
+		present: func(r *Report) bool { return r.ExecMode != "" },
+		cells:   func(r *Report, _ *RequestTrace) []string { return []string{r.ExecMode} },
+	},
+}
+
+// WriteCSV writes the per-request traces as CSV, in request-index
+// order: CSVHeader's columns, then every csvFamilies family the report
+// carries.
 func (r *Report) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	routed := r.HasRouting()
-	fleet := r.HasFleet()
-	faults := r.HasFaults()
-	adaptive := r.HasAdaptive()
+	var families []csvFamily
 	header := CSVHeader
-	backends := query.Backends()
-	if fleet || routed || faults || adaptive || r.ExecMode != "" {
-		header = append([]string{}, CSVHeader...)
-		if fleet {
-			header = append(header, FleetCSVHeader()...)
-		}
-		if faults {
-			header = append(header, FaultCSVHeader()...)
-		}
-		if routed {
-			header = append(header, RoutingCSVHeader()...)
-		}
-		if adaptive {
-			header = append(header, AdaptiveCSVHeader()...)
-		}
-		if r.ExecMode != "" {
-			header = append(header, "exec_mode")
+	for _, f := range csvFamilies {
+		if f.present(r) {
+			families = append(families, f)
+			// The capped slice makes append copy rather than write
+			// into the shared CSVHeader.
+			header = append(header[:len(header):len(header)], f.header()...)
 		}
 	}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, tr := range r.Requests {
+	for i := range r.Requests {
+		tr := &r.Requests[i]
 		p, q := tr.Plan, tr.Plan.Q
 		if p.Kind == query.Q1Agg {
 			// Aggregation rows render their filter in the shared date
 			// columns ([0, ShipCut] as a half-open range); the zero
 			// discount/quantity bounds mark the row as Q01, keeping the
-			// schema — and Q06-only exports — byte-stable.
+			// schema shared with Q06 rows.
 			q = db.Q06{ShipLo: 0, ShipHi: p.Q1.ShipCut + 1}
 		}
 		rec := []string{
@@ -342,20 +359,8 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			strconv.Itoa(tr.Matches),
 			strconv.FormatInt(tr.Revenue, 10),
 		}
-		if fleet {
-			rec = append(rec, r.fleetColumns(&tr)...)
-		}
-		if faults {
-			rec = append(rec, faultColumns(&tr)...)
-		}
-		if routed {
-			rec = append(rec, routingColumns(tr.Routing, backends)...)
-		}
-		if adaptive {
-			rec = append(rec, adaptiveColumns(tr.Routing)...)
-		}
-		if r.ExecMode != "" {
-			rec = append(rec, r.ExecMode)
+		for _, f := range families {
+			rec = append(rec, f.cells(r, tr)...)
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -366,7 +371,8 @@ func (r *Report) WriteCSV(w io.Writer) error {
 }
 
 // fleetColumns renders one trace's fleet cells. The slo_met cell is
-// blank for classes without an SLO, "true"/"false" otherwise.
+// blank for classes without an SLO, "true"/"false" otherwise; a
+// degraded answer misses its SLO however fast the fleet gave up.
 func (r *Report) fleetColumns(tr *RequestTrace) []string {
 	pool, arch, queue := "", "", ""
 	if tr.Pool != nil {
@@ -378,31 +384,17 @@ func (r *Report) fleetColumns(tr *RequestTrace) []string {
 	if tr.Class >= 0 && tr.Class < len(r.Classes) {
 		if bound := r.Classes[tr.Class].SLOCycles; bound > 0 {
 			slo = strconv.FormatUint(bound, 10)
-			// A degraded answer misses its SLO however fast the fleet gave
-			// up; Degraded is always false on fault-free reports, so their
-			// cells are unchanged.
 			met = strconv.FormatBool(!tr.Degraded && tr.Latency <= bound)
 		}
 	}
 	return []string{strconv.Itoa(tr.Class), pool, arch, queue, slo, met}
 }
 
-// faultColumns renders one trace's recovery cells.
-func faultColumns(tr *RequestTrace) []string {
-	return []string{
-		strconv.Itoa(tr.Attempts),
-		strconv.Itoa(tr.Hedges),
-		strconv.FormatBool(tr.Degraded),
-		strconv.FormatFloat(tr.Coverage, 'g', -1, 64),
-		strconv.FormatFloat(tr.ErrMatches, 'g', -1, 64),
-		strconv.FormatFloat(tr.ErrRevenue, 'g', -1, 64),
-	}
-}
-
 // routingColumns renders one trace's routing-decision cells: empty
 // estimates for fixed-architecture rows in a mixed stream, whole-cycle
 // estimates (deterministic integer formatting) for routed rows.
-func routingColumns(d *cost.Decision, backends []query.Backend) []string {
+func routingColumns(d *cost.Decision) []string {
+	backends := query.Backends()
 	cols := make([]string, 0, 2+len(backends))
 	if d == nil {
 		cols = append(cols, "false", "")

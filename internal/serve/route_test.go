@@ -97,8 +97,8 @@ func TestAutoRoutingDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRoutingColumnsOnlyWhenRouted: fixed-architecture reports keep the
-// pre-planner schema byte for byte.
+// TestRoutingColumnsOnlyWhenRouted: fixed-architecture reports carry
+// no routing-decision columns.
 func TestRoutingColumnsOnlyWhenRouted(t *testing.T) {
 	tab := db.GenerateMemo(1024, 42)
 	c, err := New(sweep.Default(), tab, 2)
