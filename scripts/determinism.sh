@@ -88,6 +88,21 @@ cmp "$out/obs.1.trace.json" "$out/obs.$many.trace.json"
 cmp "$out/obs.1.spans.csv" "$out/obs.$many.spans.csv"
 cmp "$out/obs.1.json" "$out/obs.$many.json"
 
+echo "== cluster observability exports (no -pools: counters + virtual-time trace): -workers 1 vs -workers $many =="
+clusterobs() {
+  go run ./cmd/hipe-serve -workers "$1" \
+    -shards 4 -requests 24 -tuples 4096 -mode open -qps 250000 \
+    -archs x86,hipe,auto -q1-every 3 -counters \
+    -trace-json "$out/clusterobs.$1.trace.json" -spans-csv "$out/clusterobs.$1.spans.csv" \
+    -csv "$out/clusterobs.$1.csv" -json "$out/clusterobs.$1.json" -quiet >/dev/null
+}
+clusterobs 1
+clusterobs "$many"
+cmp "$out/clusterobs.1.trace.json" "$out/clusterobs.$many.trace.json"
+cmp "$out/clusterobs.1.spans.csv" "$out/clusterobs.$many.spans.csv"
+cmp "$out/clusterobs.1.csv" "$out/clusterobs.$many.csv"
+cmp "$out/clusterobs.1.json" "$out/clusterobs.$many.json"
+
 echo "== faulted fleet (crashes + stragglers + stalls + recovery): -workers 1 vs -workers $many =="
 faulted() {
   go run ./cmd/hipe-serve -workers "$1" \
