@@ -27,9 +27,9 @@ type ClassSpec struct {
 	// plus service) when the load test injects faults or declares a
 	// recovery policy: an attempt that cannot complete every shard by
 	// dispatch + timeout is abandoned at the deadline and, retry budget
-	// permitting, re-dispatched. Zero
-	// means attempts are never timed out (a crashed replica then parks
-	// the attempt until the pool recovers).
+	// permitting, re-dispatched. Zero means attempts are never timed out
+	// (a crashed replica then parks the attempt until the pool
+	// recovers).
 	TimeoutCycles uint64
 	// HedgeCycles is the class's hedging delay: when the recovery
 	// policy enables hedging and the primary attempt has not completed

@@ -82,12 +82,14 @@ func (f *Fleet) Calibrate(p cost.Params) {
 }
 
 // fleetCand is one routable (replica pool, plan) pair with its cached
-// cost estimate.
+// cost estimate. In a load test, pi indexes the plan in the replay's
+// compute stage.
 type fleetCand struct {
 	pool int
 	plan query.Plan
 	est  cost.Estimate
 	sel  float64
+	pi   int
 }
 
 // estimate returns the sharded estimate for one plan, cached.
@@ -242,14 +244,14 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 
 // LoadTest runs the load spec against the fleet: every request expands
 // into its (pool, plan) candidates, and the replay (fleetReplay.run)
-// computes each distinct candidate plan once and replays
-// the timeline — per arrival, the router ranks the candidates by
-// predicted critical path plus the candidate replica's current
-// backlog; admission control (Shed) refuses requests whose class's
-// patience even the least-loaded candidate exceeds; the pick
-// dispatches FIFO onto the chosen replica's shard queues, under the
-// spec's faults and recovery policy when it declares them. Reports are
-// byte-identical at any worker count.
+// computes each distinct candidate plan once and replays the timeline.
+// Per arrival, the router ranks the candidates by predicted critical
+// path plus the candidate replica's current backlog; admission control
+// (Shed) refuses requests whose class's patience even the least-loaded
+// candidate exceeds; the pick dispatches FIFO onto the chosen
+// replica's shard queues, under the spec's faults and recovery policy
+// when it declares them. Reports are byte-identical at any worker
+// count.
 func (f *Fleet) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err

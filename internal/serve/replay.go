@@ -32,14 +32,15 @@ type fleetReplay struct {
 	// static holds a Cluster's admission-time routing decision per
 	// request (nil for fixed-architecture requests). Nil on a fleet,
 	// which ranks its candidates at every attempt.
-	static    []*cost.Decision
-	report    *Report
-	classes   []ClassSpec
-	accums    []classAccum
-	shed      bool
-	planIndex map[query.Plan]int
-	byPlan    [][]ShardPartial
-	planResp  []*Response
+	static  []*cost.Decision
+	report  *Report
+	classes []ClassSpec
+	accums  []classAccum
+	shed    bool
+	// byPlan and planResp hold each distinct candidate plan's shard
+	// partials and merged answer, indexed by fleetCand.pi.
+	byPlan   [][]ShardPartial
+	planResp []*Response
 	// poolFree is each replica pool's per-shard free time, in virtual
 	// cycles — the router's queue-depth signal and the FIFO state.
 	poolFree [][]uint64
@@ -116,14 +117,17 @@ func (rp *fleetReplay) run(spec LoadSpec, opt Options, cands [][]fleetCand) (*Re
 	// Compute stage: every distinct candidate plan, first-occurrence
 	// order, each (plan, shard) simulated exactly once; merge + verify
 	// once per plan.
-	rp.planIndex = make(map[query.Plan]int)
+	planIndex := make(map[query.Plan]int)
 	var plans []query.Plan
 	for _, cs := range cands[:len(reqs)] {
-		for _, cd := range cs {
-			if _, ok := rp.planIndex[cd.plan]; !ok {
-				rp.planIndex[cd.plan] = len(plans)
-				plans = append(plans, cd.plan)
+		for j := range cs {
+			pi, ok := planIndex[cs[j].plan]
+			if !ok {
+				pi = len(plans)
+				planIndex[cs[j].plan] = pi
+				plans = append(plans, cs[j].plan)
 			}
+			cs[j].pi = pi
 		}
 	}
 	if rp.byPlan, err = c.runPlanSet(plans, opt); err != nil {
@@ -366,7 +370,7 @@ func (rp *fleetReplay) dispatchRecover(index, client int, arrival uint64, req Re
 		}
 	}
 
-	resp := rp.planResp[rp.planIndex[chosen.plan]]
+	resp := rp.planResp[chosen.pi]
 	rp.report.Pools[chosen.pool].Requests++
 	latency := completion - arrival
 	covFrac := 1.0
@@ -468,12 +472,12 @@ func (rp *fleetReplay) traceRoute(t uint64, d *cost.Decision, c fleetCand, nCand
 	}
 }
 
-// backlogAt is one candidate's booked critical-path backlog at cycle
-// t: the worst per-shard excess of its pool's free time over t,
-// exclusive of outages.
-func (rp *fleetReplay) backlogAt(c fleetCand, t uint64) uint64 {
+// backlogAt is a pool's booked critical-path backlog at cycle t: the
+// worst per-shard excess of its free time over t, exclusive of
+// outages.
+func (rp *fleetReplay) backlogAt(pool int, t uint64) uint64 {
 	var backlog uint64
-	for _, free := range rp.poolFree[c.pool] {
+	for _, free := range rp.poolFree[pool] {
 		if free > t && free-t > backlog {
 			backlog = free - t
 		}
@@ -490,9 +494,10 @@ func (rp *fleetReplay) admissionBacklog(cands []fleetCand, t uint64) uint64 {
 	failover := rp.rec != nil && rp.rec.Failover
 	minBacklog, seen := uint64(0), false
 	allDownMin, allSeen := uint64(0), false
-	for _, c := range cands {
-		backlog := rp.backlogAt(c, t)
-		if until, down := rp.inj.DownUntil(c.pool, t); down && failover {
+	for i := range cands {
+		pool := cands[i].pool
+		backlog := rp.backlogAt(pool, t)
+		if until, down := rp.inj.DownUntil(pool, t); down && failover {
 			if wait := until - t + backlog; !allSeen || wait < allDownMin {
 				allDownMin, allSeen = wait, true
 			}
@@ -522,8 +527,8 @@ func (rp *fleetReplay) routeHealth(index int, cands []fleetCand, t uint64) (*cos
 		return rp.static[index], cands[0], false, nil
 	}
 	queue := make([]float64, len(cands))
-	for ci, c := range cands {
-		queue[ci] = float64(rp.backlogAt(c, t))
+	for ci := range cands {
+		queue[ci] = float64(rp.backlogAt(cands[ci].pool, t))
 	}
 	var health []cost.Health
 	nDown := 0
@@ -534,6 +539,8 @@ func (rp *fleetReplay) routeHealth(index int, cands []fleetCand, t uint64) (*cos
 			health[ci] = cost.Health{Down: down, Slowdown: rp.slow[c.pool]}
 			if down {
 				nDown++
+				// Pre-fold the outage wait so the all-down fallback ranks by
+				// earliest recovery plus backlog.
 				queue[ci] += float64(until - t)
 			}
 		}
@@ -567,9 +574,9 @@ func (rp *fleetReplay) hedgeCandidate(cands []fleetCand, primary int, t uint64) 
 				continue
 			}
 		}
-		score := c.est.Cycles + float64(rp.backlogAt(c, t))
+		score := c.est.Cycles + float64(rp.backlogAt(c.pool, t))
 		if failover && rp.slow[c.pool] > 1 {
-			score = c.est.Cycles*rp.slow[c.pool] + float64(rp.backlogAt(c, t))
+			score = c.est.Cycles*rp.slow[c.pool] + float64(rp.backlogAt(c.pool, t))
 		}
 		if !found || score < bestScore {
 			best, bestScore, found = c, score, true
@@ -588,7 +595,7 @@ func (rp *fleetReplay) hedgeCandidate(cands []fleetCand, primary int, t uint64) 
 // pool's and the shard's accounting, and first-time shard completions
 // accumulate into cov.
 func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t, timeout uint64, cov *coverage) attemptOutcome {
-	parts := rp.byPlan[rp.planIndex[c.plan]]
+	parts := rp.byPlan[c.pi]
 	free := rp.poolFree[c.pool]
 	pool := &rp.report.Pools[c.pool]
 	deadline := uint64(math.MaxUint64)

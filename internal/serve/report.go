@@ -207,12 +207,8 @@ func (r *Report) HasFaults() bool { return r.Faults != nil }
 // HasAdaptive reports whether any request in the report was routed
 // with observed-cycles feedback.
 func (r *Report) HasAdaptive() bool {
-	for i := range r.Requests {
-		if d := r.Requests[i].Routing; d != nil && d.RouteMode != "" {
-			return true
-		}
-	}
-	return false
+	routed, _ := r.adaptiveTotals()
+	return routed > 0
 }
 
 // adaptiveTotals counts the adaptively routed and explored requests.
