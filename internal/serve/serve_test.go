@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/sweep"
@@ -104,30 +105,54 @@ func TestConcurrentQueriesAreSafeAndExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mixed-selectivity predicates from concurrent callers: the race
-	// detector gates the reference cache and executor pool here.
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		q := db.DefaultQ06()
-		q.QtyHi = int32(10 + 5*i)
-		wg.Add(1)
-		go func(q db.Q06) {
-			defer wg.Done()
-			resp, err := c.Query(Request{Plan: DefaultPlan(query.HIPE, q)}, Options{Workers: 2})
-			if err != nil {
-				errc <- err
-				return
-			}
-			if want := db.Reference(tab, q).Matches; resp.Matches != want {
-				errc <- errMismatch(resp.Matches, want)
-			}
-		}(q)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
+	adaptive, err := New(sweep.Default(), tab, 4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	f, err := NewFleet(sweep.Default(), tab, 4, []query.Arch{query.HIPE, query.X86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Cluster{adaptive, f.Cluster} {
+		if err := a.EnableAdaptive(cost.AdaptiveConfig{Seed: 5, ExplorePct: 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Mixed-selectivity predicates from concurrent callers: the race
+	// detector gates the reference cache, the executor pool and the
+	// online adaptive routing state here.
+	for _, tc := range []struct {
+		name  string
+		query func(Request, Options) (*Response, error)
+		arch  query.Arch
+	}{
+		{"cluster", c.Query, query.HIPE},
+		{"adaptive cluster", adaptive.Query, ArchAuto},
+		{"adaptive fleet", f.Query, ArchAuto},
+	} {
+		var wg sync.WaitGroup
+		errc := make(chan error, 8)
+		for i := 0; i < 8; i++ {
+			q := db.DefaultQ06()
+			q.QtyHi = int32(10 + 5*i)
+			wg.Add(1)
+			go func(q db.Q06) {
+				defer wg.Done()
+				resp, err := tc.query(Request{Plan: DefaultPlan(tc.arch, q)}, Options{Workers: 2})
+				if err != nil {
+					errc <- err
+					return
+				}
+				if want := db.Reference(tab, q).Matches; resp.Matches != want {
+					errc <- errMismatch(resp.Matches, want)
+				}
+			}(q)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }
 
