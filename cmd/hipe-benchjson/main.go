@@ -21,7 +21,12 @@
 //
 // -check-allocs exits non-zero if any scheduler microbench reports a
 // nonzero allocs/op — the CI bench-smoke job's allocation-regression
-// tripwire (beside the testing.AllocsPerRun unit tests).
+// tripwire (beside the testing.AllocsPerRun unit tests). With -prev it
+// also fails if a Figure 3 or Q01 best-case bench (BenchmarkFig3*,
+// BenchmarkQ1BestCases) allocates more than 1% above its allocs/op in
+// the previous document. Allocations are deterministic but scale with
+// the sweep worker count, so both documents must be measured at the
+// same GOMAXPROCS.
 //
 // -prev takes a previously committed BENCH_<n>.json document and, with
 // -max-regress-pct P, exits non-zero if any figure bench present in
@@ -199,6 +204,44 @@ func counterOverhead(rs []BenchResult) []Overhead {
 	return out
 }
 
+// allocSlackPct is how far above its previous allocs/op a gated figure
+// bench may go before -check-allocs fails it.
+const allocSlackPct = 1
+
+// allocGated reports whether -check-allocs gates a figure bench's
+// allocs/op against the previous document: the Figure 3 panels and the
+// Q01 best cases, whose allocations µop emission once dominated.
+func allocGated(name string) bool {
+	return strings.HasPrefix(name, "BenchmarkFig3") || name == "BenchmarkQ1BestCases"
+}
+
+// allocRegressions lists every gated figure bench of cur that allocates
+// more than allocSlackPct above its allocs/op in prev. Figure benches
+// build one machine per sweep worker, so documents measured at
+// different GOMAXPROCS cannot be compared; that is an error.
+func allocRegressions(cur, prev Doc) ([]string, error) {
+	if cur.GOMAXPROCS != prev.GOMAXPROCS {
+		return nil, fmt.Errorf("measured at GOMAXPROCS=%d, previous document at %d; allocs/op scale with the sweep worker count, so run with GOMAXPROCS=%d",
+			cur.GOMAXPROCS, prev.GOMAXPROCS, prev.GOMAXPROCS)
+	}
+	prevByName := map[string]BenchResult{}
+	for _, b := range prev.Figures {
+		prevByName[b.Name] = b
+	}
+	var out []string
+	for _, r := range cur.Figures {
+		b, ok := prevByName[r.Name]
+		if !ok || !allocGated(r.Name) {
+			continue
+		}
+		if r.AllocsPerOp > b.AllocsPerOp*(1+allocSlackPct/100.0) {
+			out = append(out, fmt.Sprintf("%s %.0f -> %.0f allocs/op (budget +%d%%)",
+				r.Name, b.AllocsPerOp, r.AllocsPerOp, allocSlackPct))
+		}
+	}
+	return out, nil
+}
+
 // benchLine matches one `go test -bench` result line: the name, the
 // iteration count, then value/unit pairs. procSuffix strips the -P
 // GOMAXPROCS suffix so names are stable across machines.
@@ -264,7 +307,7 @@ func main() {
 	figureBenchtime := flag.String("figure-benchtime", "3x", "benchtime for the Figure 3 benches")
 	microBenchtime := flag.String("micro-benchtime", "200ms", "benchtime for the scheduler microbenches")
 	baselinePath := flag.String("baseline", "", "raw `go test -bench` output captured before the change; recorded with speedups")
-	checkAllocs := flag.Bool("check-allocs", false, "exit 1 if a scheduler microbench reports allocs/op > 0")
+	checkAllocs := flag.Bool("check-allocs", false, "exit 1 if a scheduler microbench reports allocs/op > 0, or (with -prev) a Figure 3/Q01 bench allocates more than 1% above it")
 	skipFigures := flag.Bool("skip-figures", false, "skip the (slow) figure benches; scheduler microbenches only")
 	prevPath := flag.String("prev", "", "previously committed BENCH_<n>.json; with -max-regress-pct, gates wall-clock regressions on matching figure benches")
 	maxRegressPct := flag.Float64("max-regress-pct", 0, "exit 1 if a figure bench present in -prev got more than this many percent slower (0 disables)")
@@ -296,11 +339,22 @@ func main() {
 	if *minSweepSpeedup < 0 {
 		fail("-min-sweep-speedup %g must not be negative", *minSweepSpeedup)
 	}
-	if (*minSweepSpeedup > 0 || *maxRegressPct > 0) && *skipFigures {
-		fail("the -min-sweep-speedup and -max-regress-pct gates need the figure benches; drop -skip-figures")
+	if (*minSweepSpeedup > 0 || *maxRegressPct > 0 || *checkAllocs && *prevPath != "") && *skipFigures {
+		fail("the -min-sweep-speedup, -max-regress-pct and -check-allocs -prev gates need the figure benches; drop -skip-figures")
 	}
 
 	doc := Doc{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	var prev *Doc
+	if *prevPath != "" {
+		raw, err := os.ReadFile(*prevPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		prev = new(Doc)
+		if err := json.Unmarshal(raw, prev); err != nil {
+			log.Fatalf("parse %s: %v", *prevPath, err)
+		}
+	}
 
 	var err error
 	if !*skipFigures {
@@ -365,21 +419,26 @@ func main() {
 				failed = true
 			}
 		}
+		if prev != nil {
+			regressions, err := allocRegressions(doc, *prev)
+			if err != nil {
+				log.Fatalf("alloc check against %s: %v", *prevPath, err)
+			}
+			for _, msg := range regressions {
+				log.Printf("ALLOC REGRESSION: %s", msg)
+				failed = true
+			}
+		}
 		if failed {
 			os.Exit(1)
 		}
 		log.Printf("alloc check passed: all scheduler lanes at 0 allocs/op")
+		if prev != nil {
+			log.Printf("alloc check passed: no Figure 3/Q01 bench above %s by more than %d%%", *prevPath, allocSlackPct)
+		}
 	}
 
-	if *prevPath != "" && *maxRegressPct > 0 {
-		raw, err := os.ReadFile(*prevPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var prev Doc
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			log.Fatalf("parse %s: %v", *prevPath, err)
-		}
+	if prev != nil && *maxRegressPct > 0 {
 		prevByName := map[string]BenchResult{}
 		for _, b := range prev.Figures {
 			prevByName[b.Name] = b

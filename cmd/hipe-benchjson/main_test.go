@@ -39,6 +39,7 @@ func TestFlagValidation(t *testing.T) {
 		{"regress gate without prev", []string{"-max-regress-pct", "10"}, "needs a -prev document"},
 		{"negative sweep gate", []string{"-min-sweep-speedup", "-1"}, "must not be negative"},
 		{"sweep gate without figures", []string{"-min-sweep-speedup", "5", "-skip-figures"}, "drop -skip-figures"},
+		{"alloc gate without figures", []string{"-check-allocs", "-prev", "BENCH_14.json", "-skip-figures"}, "drop -skip-figures"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +103,38 @@ func TestSweepGridPairing(t *testing.T) {
 	}
 	if sweepGrid([]BenchResult{{Name: "BenchmarkFig3a", NsPerOp: 5}}) != nil {
 		t.Fatal("sweep_grid row fabricated without lanes")
+	}
+}
+
+// TestAllocRegressions covers the -check-allocs -prev figure gate
+// without shelling out: only the Figure 3 and Q01 best-case benches are
+// gated, each may exceed its previous allocs/op by at most 1%, and
+// documents measured at different GOMAXPROCS are refused.
+func TestAllocRegressions(t *testing.T) {
+	prev := Doc{GOMAXPROCS: 1, Figures: []BenchResult{
+		{Name: "BenchmarkFig3aTupleAtATime", AllocsPerOp: 1000},
+		{Name: "BenchmarkFig3bColumnAtATime", AllocsPerOp: 1000},
+		{Name: "BenchmarkQ1BestCases", AllocsPerOp: 1000},
+		{Name: "BenchmarkFleet", AllocsPerOp: 1000},
+	}}
+	cur := Doc{GOMAXPROCS: 1, Figures: []BenchResult{
+		{Name: "BenchmarkFig3aTupleAtATime", AllocsPerOp: 1010},  // at the budget
+		{Name: "BenchmarkFig3bColumnAtATime", AllocsPerOp: 1011}, // over it
+		{Name: "BenchmarkFig3dBestCases", AllocsPerOp: 9999},     // absent from prev
+		{Name: "BenchmarkQ1BestCases", AllocsPerOp: 1500},        // over it
+		{Name: "BenchmarkFleet", AllocsPerOp: 5000},              // not gated
+	}}
+	got, err := allocRegressions(cur, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !strings.HasPrefix(got[0], "BenchmarkFig3bColumnAtATime ") ||
+		!strings.HasPrefix(got[1], "BenchmarkQ1BestCases ") {
+		t.Fatalf("regressions %q, want Fig3b and Q1BestCases", got)
+	}
+	cur.GOMAXPROCS = 4
+	if _, err := allocRegressions(cur, prev); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=1") {
+		t.Fatalf("GOMAXPROCS mismatch not refused: %v", err)
 	}
 }
 

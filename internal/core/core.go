@@ -161,30 +161,15 @@ func (f *rowFetch) fetchDone(now sim.Cycle) {
 	}
 }
 
-// queued is one buffered instruction plus its link-level context.
-type queued struct {
-	inst *isa.OffloadInst
-	op   *subOp
-}
-
-// complete releases the instruction's link context; for acknowledged
-// instructions (Unlock) it serialises the response to the CPU.
-func (q queued) complete() {
-	op := q.op
-	if op.acked {
-		// The response packet releases the op at delivery.
-		op.pkt.Complete()
-		return
-	}
-	op.release()
-}
-
-// subOp is one pooled Submit context: the instruction's link packet and
-// the pre-bound callbacks for its cube arrival and (for acknowledged
-// instructions) its response delivery.
+// subOp is one pooled Submit context: the engine's own copy of the
+// instruction, its link packet and the pre-bound callbacks for its cube
+// arrival and (for acknowledged instructions) its response delivery.
+// The copy is what the in-order queue reads: a posted instruction's µop
+// retires one cycle after Submit, and the processor may then reuse the
+// storage it submitted from while the instruction still waits here.
 type subOp struct {
 	e     *Engine
-	inst  *isa.OffloadInst
+	inst  isa.OffloadInst
 	done  func(now sim.Cycle)
 	acked bool
 	pkt   link.Packet
@@ -195,7 +180,18 @@ type subOp struct {
 
 // exec runs cube-side on instruction arrival: enter the in-order queue.
 func (op *subOp) exec(*link.Packet) {
-	op.e.enqueue(queued{inst: op.inst, op: op})
+	op.e.enqueue(op)
+}
+
+// complete releases the instruction's link context; for acknowledged
+// instructions (Unlock) it serialises the response to the CPU.
+func (op *subOp) complete() {
+	if op.acked {
+		// The response packet releases the op at delivery.
+		op.pkt.Complete()
+		return
+	}
+	op.release()
 }
 
 // deliver fires requester-side when an acknowledgement arrives.
@@ -208,7 +204,7 @@ func (op *subOp) deliver(now sim.Cycle) {
 }
 
 func (op *subOp) release() {
-	op.inst, op.done = nil, nil
+	op.inst, op.done = isa.OffloadInst{}, nil
 	op.e.subFree = append(op.e.subFree, op)
 }
 
@@ -302,7 +298,7 @@ type Engine struct {
 	image  []byte
 
 	regs  [isa.NumRegisters]register
-	queue sim.Queue[queued]
+	queue sim.Queue[*subOp]
 
 	locked            bool
 	outstandingStores int
@@ -474,7 +470,9 @@ func (e *Engine) getRowFetch(row mem.Addr) *rowFetch {
 // single-host system needs no grant message — are posted: the done
 // callback fires as soon as the instruction has left the core, which is
 // what lets the processor stream whole lock blocks back to back while
-// the engine's in-order queue serialises their execution.
+// the engine's in-order queue serialises their execution. The engine
+// keeps its own copy of inst, so the caller's storage is free for reuse
+// once Submit returns.
 func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	if inst.Target != e.cfg.Target {
 		panic(fmt.Sprintf("core %s: wrong target %s", e.cfg.Name, inst.Target))
@@ -484,7 +482,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	}
 	acked := inst.Op == isa.Unlock
 	op := e.getSub()
-	op.inst = inst
+	op.inst = *inst
 	op.acked = acked
 	op.pkt = link.Packet{
 		Vault:       e.cfg.InstructionVault,
@@ -504,8 +502,8 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	return true
 }
 
-func (e *Engine) enqueue(q queued) {
-	e.queue.Push(q)
+func (e *Engine) enqueue(op *subOp) {
+	e.queue.Push(op)
 	e.domain.Kick()
 }
 
@@ -529,7 +527,7 @@ func (e *Engine) Tick(now sim.Cycle) sim.Activity {
 		if issued+cost > e.cfg.Width && issued > 0 {
 			break // does not fit in this cycle's remaining slots
 		}
-		if cause := e.blocker(head.inst); cause != nil {
+		if cause := e.blocker(&head.inst); cause != nil {
 			cause.Inc()
 			e.stallCause = cause
 			break
@@ -601,8 +599,8 @@ func (e *Engine) blocker(inst *isa.OffloadInst) *stats.Counter {
 }
 
 // issue executes one instruction (or squashes it under predication).
-func (e *Engine) issue(q queued, now sim.Cycle) {
-	inst := q.inst
+func (e *Engine) issue(sub *subOp, now sim.Cycle) {
+	inst := &sub.inst
 	e.instructions.Inc()
 
 	if inst.Pred.Valid {
@@ -628,7 +626,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 					dst.zero = true
 				}
 			}
-			q.complete()
+			sub.complete()
 			return
 		}
 	}
@@ -637,11 +635,11 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 	case isa.Lock:
 		e.locked = true
 		e.lockBlocks.Inc()
-		q.complete()
+		sub.complete()
 
 	case isa.Unlock:
 		e.locked = false
-		q.complete()
+		sub.complete()
 
 	case isa.VLoad:
 		e.loads.Inc()
@@ -651,7 +649,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		op := e.getLd()
 		op.dst, op.addr, op.size = dst, inst.Addr, inst.Size
 		e.fanOut(inst.Addr, inst.Size, mem.Read, op.fn)
-		q.complete()
+		sub.complete()
 
 	case isa.VMaskLoad:
 		e.loads.Inc()
@@ -693,7 +691,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 			e.maskRead = f
 			e.fanOut(row, e.geom.RowBytes, mem.Read, f.doneFn)
 		}
-		q.complete()
+		sub.complete()
 
 	case isa.VStore:
 		e.stores.Inc()
@@ -702,7 +700,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		copy(e.image[inst.Addr:uint64(inst.Addr)+uint64(inst.Size)], src.data[:inst.Size])
 		e.outstandingStores++
 		e.fanOut(inst.Addr, inst.Size, mem.Write, e.storeDrainedFn)
-		q.complete()
+		sub.complete()
 
 	case isa.VMaskStore:
 		e.stores.Inc()
@@ -712,7 +710,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		isa.CompactMask(mask, src.data[:], int(inst.Size))
 		copy(e.image[inst.Addr:uint64(inst.Addr)+uint64(nb)], mask)
 		if inst.OnResult != nil {
-			inst.OnResult(mask)
+			inst.OnResult(mask, inst.Expect)
 		}
 		// Accumulate in the mask write-combine buffer; the row flushes
 		// to DRAM when the target row changes or at unlock.
@@ -723,7 +721,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		e.maskBuf.valid = true
 		e.maskBuf.row = row
 		e.maskBuf.dirty = true
-		q.complete()
+		sub.complete()
 
 	case isa.VALU:
 		e.aluOps.Inc()
@@ -739,7 +737,7 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		dst.pending = true
 		op.dst = dst
 		e.engine.ScheduleEvent(now+e.aluLatency(inst), op, 0)
-		q.complete()
+		sub.complete()
 
 	default:
 		panic(fmt.Sprintf("core: cannot execute %s", inst.Op))

@@ -174,7 +174,7 @@ func TestVMaskStoreCompacts(t *testing.T) {
 	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VALU, ALU: isa.CmpEQ,
 		Dst: 1, Src1: 0, UseImm: true, Imm: 1})
 	ms := &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VMaskStore, Src1: 1, Addr: 0x2000, Size: 256,
-		OnResult: func(r []byte) { got = append([]byte(nil), r...) }}
+		OnResult: func(r, _ []byte) { got = append([]byte(nil), r...) }}
 	submit(t, eng, ms)
 	e.Run()
 	want := bytes.Repeat([]byte{0xAA}, 8) // odd lanes set

@@ -11,7 +11,10 @@ import (
 
 // Stream supplies µops in program order (the correct execution path).
 type Stream interface {
-	// Next returns the next µop; ok=false ends the program.
+	// Next returns the next µop; ok=false ends the program. An Offload
+	// µop's instruction need only stay valid until the following call
+	// to Next: the core copies it at fetch, so a stream may build each
+	// block of µops in storage it reuses for the next block.
 	Next() (isa.MicroOp, bool)
 }
 
@@ -35,7 +38,10 @@ func (s *SliceStream) Next() (isa.MicroOp, bool) {
 type OffloadPort interface {
 	// Submit sends one instruction toward the cube; done fires when the
 	// response arrives back at the core. Submit reports false if the port
-	// cannot accept this cycle (retry later).
+	// cannot accept this cycle (retry later). An accepting port copies
+	// inst: the core reuses the instruction's storage once the µop
+	// commits, and a posted instruction commits before the engine runs
+	// it.
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
@@ -160,6 +166,14 @@ type Core struct {
 
 	entryFree []*robEntry
 
+	// offloadInsts holds the core's copy of every in-flight Offload
+	// µop's instruction, slot seq mod len: the stream's storage is only
+	// valid until its next Next call. A µop is in flight from fetch to
+	// commit, and at most FetchBufSize+DecodeBufSize+ROBSize µops are,
+	// all with consecutive sequence numbers, so no live slot is ever
+	// overwritten.
+	offloadInsts []isa.OffloadInst
+
 	producers map[isa.Reg]*robEntry
 
 	mobReads      int // in-flight loads + offloads
@@ -208,6 +222,7 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 		producers: make(map[isa.Reg]*robEntry),
 		pred:      newBranchPredictor(cfg.GHRBits, cfg.PHTEntries, cfg.BTBEntries),
 	}
+	c.offloadInsts = make([]isa.OffloadInst, cfg.FetchBufSize+cfg.DecodeBufSize+cfg.ROBSize)
 	for i := range c.divBusyUntil {
 		if !cfg.FUs[i].Pipelined {
 			c.divBusyUntil[i] = make([]sim.Cycle, cfg.FUs[i].Units)
@@ -411,6 +426,11 @@ func (c *Core) fetch(now sim.Cycle) {
 		if !ok {
 			c.streamDone = true
 			return
+		}
+		if uop.Class == isa.Offload {
+			slot := &c.offloadInsts[c.nextSeq%uint64(len(c.offloadInsts))]
+			*slot = *uop.Offload
+			uop.Offload = slot
 		}
 		f := fetchedOp{uop: uop, seq: c.nextSeq}
 		c.nextSeq++

@@ -46,11 +46,11 @@ func (m *testMem) Access(req *mem.Request) bool {
 type testOffload struct {
 	engine  *sim.Engine
 	latency sim.Cycle
-	insts   []*isa.OffloadInst
+	insts   []isa.OffloadInst
 }
 
 func (o *testOffload) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
-	o.insts = append(o.insts, inst)
+	o.insts = append(o.insts, *inst)
 	at := o.engine.Now() + o.latency
 	o.engine.Schedule(at, func() { done(at) })
 	return true
@@ -248,7 +248,7 @@ func TestOffloadRoundTrip(t *testing.T) {
 		{PC: 4, Class: isa.IntALU, Dst: 2, Src1: 1},
 	}
 	cycles := run(t, e, c, ops)
-	if len(to.insts) != 1 || to.insts[0] != inst {
+	if len(to.insts) != 1 || to.insts[0].String() != inst.String() {
 		t.Fatal("offload instruction not submitted")
 	}
 	if cycles < 50 {
@@ -256,6 +256,46 @@ func TestOffloadRoundTrip(t *testing.T) {
 	}
 	if reg.Scope("cpu0").Get("offload_insts") != 1 {
 		t.Fatal("offload counter wrong")
+	}
+}
+
+// reusingStream hands out n Offload µops whose instructions all live in
+// one variable it overwrites on every Next — the shortest lifetime the
+// Stream contract allows.
+type reusingStream struct {
+	inst isa.OffloadInst
+	i, n int
+}
+
+func (s *reusingStream) Next() (isa.MicroOp, bool) {
+	if s.i == s.n {
+		return isa.MicroOp{}, false
+	}
+	s.inst = isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLT, Size: 64, Imm: int32(s.i)}
+	u := isa.MicroOp{PC: uint64(4 * s.i), Class: isa.Offload, Dst: isa.Reg(s.i + 1), Offload: &s.inst}
+	s.i++
+	return u, true
+}
+
+// TestOffloadStreamStorageReuse checks that the core copies an offload
+// instruction at fetch: with a whole ROB of offloads in flight, each
+// Submit must still see the instruction its µop was fetched with.
+func TestOffloadStreamStorageReuse(t *testing.T) {
+	e, c, _, to, _ := newCore(t, 10)
+	const n = 1000
+	finished := false
+	c.Start(&reusingStream{n: n}, func() { finished = true })
+	e.Run()
+	if !finished {
+		t.Fatal("never finished")
+	}
+	if len(to.insts) != n {
+		t.Fatalf("%d instructions submitted, want %d", len(to.insts), n)
+	}
+	for i, in := range to.insts {
+		if in.Imm != int32(i) {
+			t.Fatalf("submit %d carried instruction %d", i, in.Imm)
+		}
 	}
 }
 

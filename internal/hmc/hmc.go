@@ -75,12 +75,14 @@ type Engine struct {
 	maskBytes *stats.Counter
 }
 
-// hmcOp is one pooled in-flight instruction: the link packet, the vault
-// request it becomes inside the cube, and the pre-bound callbacks for
-// every hop. Submit draws one; the response delivery releases it.
+// hmcOp is one pooled in-flight instruction: the engine's own copy of
+// the instruction (the processor's storage may be reused once Submit
+// returns), the link packet, the vault request it becomes inside the
+// cube, and the pre-bound callbacks for every hop. Submit draws one;
+// the response delivery releases it.
 type hmcOp struct {
 	e    *Engine
-	inst *isa.OffloadInst
+	inst isa.OffloadInst
 	done func(now sim.Cycle)
 	pkt  link.Packet
 	req  mem.Request
@@ -105,7 +107,7 @@ func (op *hmcOp) OnEvent(now sim.Cycle, _ uint64) {
 		op.pkt.Complete()
 		return
 	}
-	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Write, Done: op.writeDoneFn}
+	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(&op.inst), Kind: mem.Write, Done: op.writeDoneFn}
 	e.vaults.Access(&op.req)
 }
 
@@ -149,6 +151,8 @@ func (e *Engine) getOp() *hmcOp {
 
 // Submit implements the processor offload port for TargetHMC
 // instructions. It reports false when the in-flight window is full.
+// An accepted instruction is copied, so the caller's storage is free for
+// reuse once Submit returns.
 func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	if inst.Target != isa.TargetHMC {
 		panic(fmt.Sprintf("hmc: wrong target %s", inst.Target))
@@ -168,7 +172,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 		respPayload = isa.MaskBytes(inst.Size)
 	}
 	op := e.getOp()
-	op.inst = inst
+	op.inst = *inst
 	op.done = done
 	op.pkt = link.Packet{
 		Vault:       loc.Vault,
@@ -188,7 +192,7 @@ func (e *Engine) RepeatRefusals(n uint64) { e.rejected.Add(n) }
 
 // exec runs cube-side on instruction arrival: issue the DRAM read.
 func (op *hmcOp) exec(*link.Packet) {
-	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Read, Done: op.readDoneFn}
+	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(&op.inst), Kind: mem.Read, Done: op.readDoneFn}
 	op.e.vaults.Access(&op.req)
 }
 
@@ -196,7 +200,7 @@ func (op *hmcOp) exec(*link.Packet) {
 // applies here (visible to anything that reads the image afterwards),
 // then the FU latency elapses before write-back / response.
 func (op *hmcOp) readDone(now sim.Cycle) {
-	op.wb = op.e.apply(op.inst)
+	op.wb = op.e.apply(&op.inst)
 	op.e.engine.ScheduleEvent(now+op.e.cfg.FULatency, op, 0)
 }
 
@@ -205,7 +209,7 @@ func (op *hmcOp) readDone(now sim.Cycle) {
 func (op *hmcOp) deliver(now sim.Cycle) {
 	e := op.e
 	done := op.done
-	op.inst, op.done = nil, nil
+	op.inst, op.done = isa.OffloadInst{}, nil
 	e.opFree = append(e.opFree, op)
 	e.inFlight--
 	done(now)
@@ -230,7 +234,7 @@ func (e *Engine) apply(inst *isa.OffloadInst) bool {
 		isa.CompactMask(mask, lanes, int(inst.Size))
 		e.maskBytes.Add(uint64(len(mask)))
 		if inst.OnResult != nil {
-			inst.OnResult(mask)
+			inst.OnResult(mask, inst.Expect)
 		}
 		return false
 	case isa.AddImm:
@@ -247,7 +251,7 @@ func (e *Engine) apply(inst *isa.OffloadInst) bool {
 		if inst.OnResult != nil {
 			res := e.laneScratch[:isa.LaneBytes]
 			isa.SetLane(res, 0, old)
-			inst.OnResult(res)
+			inst.OnResult(res, inst.Expect)
 		}
 		return swapped
 	default:

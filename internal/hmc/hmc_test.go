@@ -56,7 +56,7 @@ func TestCmpReadComputesMask(t *testing.T) {
 	var doneAt sim.Cycle
 	inst := &isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLT,
 		Addr: 0, Size: 64, Imm: 8,
-		OnResult: func(r []byte) { got = append([]byte(nil), r...) }}
+		OnResult: func(r, _ []byte) { got = append([]byte(nil), r...) }}
 	ok := eng.Submit(inst, func(now sim.Cycle) { doneAt = now })
 	if !ok {
 		t.Fatal("submit refused")
@@ -101,7 +101,7 @@ func TestCompareSwap(t *testing.T) {
 	isa.SetLane(image, 0, 7)
 	var old []byte
 	inst := &isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CompareSwap, Addr: 0,
-		Imm: 7, Imm2: 99, OnResult: func(r []byte) { old = append([]byte(nil), r...) }}
+		Imm: 7, Imm2: 99, OnResult: func(r, _ []byte) { old = append([]byte(nil), r...) }}
 	eng.Submit(inst, func(sim.Cycle) {})
 	e.Run()
 	if isa.LaneAt(image, 0) != 99 {

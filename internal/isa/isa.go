@@ -88,7 +88,10 @@ type MicroOp struct {
 	// streaming stores and bitmask reads declared non-temporal).
 	Uncacheable bool
 
-	// Offload is the cube instruction carried by an Offload µop.
+	// Offload is the cube instruction carried by an Offload µop. It is
+	// borrowed, not owned: a stream may reuse the instruction's storage
+	// once the µop has been handed on (see cpu.Stream), so a consumer
+	// that keeps an instruction beyond that point keeps a copy.
 	Offload *OffloadInst
 }
 
@@ -271,13 +274,20 @@ type OffloadInst struct {
 	// TargetHMC and TargetHIVE instructions.
 	Pred Predicate
 
+	// Expect is the result the issuer expects the engine to compute for
+	// this instruction. Engines never read it: they hand it to OnResult
+	// beside the actual result, so one shared callback can check every
+	// instruction of a run without a closure per instruction.
+	Expect []byte `json:"-"`
+
 	// OnResult, if non-nil, receives the functional result an engine
-	// computes for this instruction (the compacted bitmask of a CmpRead,
-	// the old value of a CompareSwap). The slice is only valid during
-	// the call: engines hand out scratch buffers, so consumers must
-	// compare or copy, never retain. Used by the query runner and the
-	// tests to cross-check engine results against reference evaluation.
-	OnResult func(result []byte) `json:"-"`
+	// computes for this instruction (the compacted bitmask of a CmpRead
+	// or VMaskStore, the old value of a CompareSwap) and the
+	// instruction's Expect. The result slice is only valid during the
+	// call: engines hand out scratch buffers, so consumers must compare
+	// or copy, never retain. Used by the query runner and the tests to
+	// cross-check engine results against reference evaluation.
+	OnResult func(result, expect []byte) `json:"-"`
 
 	// validated memoises a successful Validate: the engines validate on
 	// Submit, and a window-full rejection resubmits the same instruction

@@ -240,9 +240,9 @@ type cpuAcc struct {
 // add emits one accumulate µop (class IntALU for add-into-sum, IntMul
 // where the addend itself is a product) chained onto the (g, agg)
 // accumulator, reading src.
-func (a *cpuAcc) add(emit func(isa.MicroOp), class isa.OpClass, g, agg int, src isa.Reg) {
+func (a *cpuAcc) add(e *emitter, class isa.OpClass, g, agg int, src isa.Reg) {
 	dst := a.vr.fresh()
-	emit(isa.MicroOp{Class: class, Dst: dst, Src1: a.regs[g][agg], Src2: src})
+	e.emit(isa.MicroOp{Class: class, Dst: dst, Src1: a.regs[g][agg], Src2: src})
 	a.regs[g][agg] = dst
 }
 
@@ -252,17 +252,17 @@ func (a *cpuAcc) add(emit func(isa.MicroOp), class isa.OpClass, g, agg int, src 
 // direction is in-memory data), the revenue multiply, and the four
 // aggregate updates chained onto the group's register accumulators.
 // tup is the register holding the tuple's data.
-func (w *Workload) emitTupleAccumulate(emit func(isa.MicroOp), acc *cpuAcc, i int, tup isa.Reg) {
+func (w *Workload) emitTupleAccumulate(e *emitter, acc *cpuAcc, i int, tup isa.Reg) {
 	g := w.tupleGroup(i)
 	rf, ls := groupKey(g)
 	gid := acc.vr.fresh()
-	emit(isa.MicroOp{Class: isa.IntALU, Dst: gid, Src1: tup})
-	emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: rf == db.ReturnFlagN})
-	emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: ls == db.LineStatusO})
+	e.emit(isa.MicroOp{Class: isa.IntALU, Dst: gid, Src1: tup})
+	e.emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: rf == db.ReturnFlagN})
+	e.emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: ls == db.LineStatusO})
 	rev := acc.vr.fresh()
-	emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: tup})
-	acc.add(emit, isa.IntALU, g, AggCount, gid)
-	acc.add(emit, isa.IntALU, g, AggQty, tup)
-	acc.add(emit, isa.IntALU, g, AggPrice, tup)
-	acc.add(emit, isa.IntALU, g, AggRevenue, rev)
+	e.emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: tup})
+	acc.add(e, isa.IntALU, g, AggCount, gid)
+	acc.add(e, isa.IntALU, g, AggQty, tup)
+	acc.add(e, isa.IntALU, g, AggPrice, tup)
+	acc.add(e, isa.IntALU, g, AggRevenue, rev)
 }

@@ -14,19 +14,29 @@ import (
 
 // emitter accumulates one chunked-stream block: µops append with
 // auto-incrementing PCs, 4 bytes apart — the instruction spacing all
-// generators share.
+// generators share. Each stream owns one emitter and refills it block
+// after block, so its µop and instruction buffers grow to the largest
+// block once and are reused from then on.
 type emitter struct {
 	pc  uint64
 	ops []isa.MicroOp
+	// insts holds the block's offload instructions in µop order. The
+	// µops carry no pointer into it until the stream hands them out
+	// (chunkedStream.Next): appending may still move the buffer.
+	insts []isa.OffloadInst
 }
-
-func newEmitter(pc uint64) *emitter { return &emitter{pc: pc} }
 
 // emit appends one µop at the current PC.
 func (e *emitter) emit(u isa.MicroOp) {
 	u.PC = e.pc
 	e.pc += 4
 	e.ops = append(e.ops, u)
+}
+
+// offload appends one Offload µop carrying inst.
+func (e *emitter) offload(dst, src1 isa.Reg, inst isa.OffloadInst) {
+	e.emit(isa.MicroOp{Class: isa.Offload, Dst: dst, Src1: src1})
+	e.insts = append(e.insts, inst)
 }
 
 // loopTail emits the per-block loop overhead every processor-driven
@@ -50,15 +60,18 @@ func blockBounds(b, per, total int) (first, last int) {
 
 // offloadChain forces the processor to issue an engine's instructions in
 // program order: each offload µop depends on its predecessor, modelling
-// the in-order instruction stream a real host controller maintains.
+// the in-order instruction stream a real host controller maintains. It
+// stamps every instruction with the engine's target.
 type offloadChain struct {
-	vr    *vregs
-	chain isa.Reg
+	vr     *vregs
+	target isa.Target
+	chain  isa.Reg
 }
 
-func (oc *offloadChain) emit(e *emitter, inst *isa.OffloadInst) isa.Reg {
+func (oc *offloadChain) emit(e *emitter, inst isa.OffloadInst) isa.Reg {
 	dst := oc.vr.fresh()
-	e.emit(isa.MicroOp{Class: isa.Offload, Dst: dst, Src1: oc.chain, Offload: inst})
+	inst.Target = oc.target
+	e.offload(dst, oc.chain, inst)
 	oc.chain = dst
 	return dst
 }
@@ -71,9 +84,9 @@ func (oc *offloadChain) emit(e *emitter, inst *isa.OffloadInst) isa.Reg {
 // next block's first instruction is preserved because both depend on the
 // same predecessor and the core's ready queue and single load port keep
 // FIFO order.
-func (oc *offloadChain) emitUnlock(e *emitter, target isa.Target) isa.Reg {
+func (oc *offloadChain) emitUnlock(e *emitter) isa.Reg {
 	pre := oc.chain
-	ack := oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
+	ack := oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 	oc.chain = pre
 	return ack
 }
@@ -137,44 +150,40 @@ var q1Columns = [...]struct {
 // group absent from a chunk squashes its accumulation inside the
 // memory. The running Adds/Subs stay unpredicated: a squash zeroes its
 // temp operand (zeroing-mask semantics), never the accumulator.
-func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain, target isa.Target) {
-	predicated := target == isa.TargetHIPE
-	eng := func(inst isa.OffloadInst) *isa.OffloadInst {
-		inst.Target = target
-		return &inst
-	}
+func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain) {
 	nzF := isa.Predicate{}
+	predicated := oc.target == isa.TargetHIPE
 	if predicated {
 		nzF = isa.Predicate{Valid: true, Reg: q1RegFilter, WhenZero: false}
 	}
 	for g := 0; g < w.Desc.Groups; g++ {
 		rf, ls := groupKey(g)
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
-			Dst: q1RegTmpA, Src1: q1RegRf, UseImm: true, Imm: rf, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
-			Dst: q1RegTmpB, Src1: q1RegLs, UseImm: true, Imm: ls, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-			Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-			Dst: q1RegGroup, Src1: q1RegTmpA, Src2: q1RegFilter, Pred: nzF}))
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
+			Dst: q1RegTmpA, Src1: q1RegRf, UseImm: true, Imm: rf, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
+			Dst: q1RegTmpB, Src1: q1RegLs, UseImm: true, Imm: ls, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+			Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+			Dst: q1RegGroup, Src1: q1RegTmpA, Src2: q1RegFilter, Pred: nzF})
 		nzG := isa.Predicate{}
 		if predicated {
 			nzG = isa.Predicate{Valid: true, Reg: q1RegGroup, WhenZero: false}
 		}
 		// COUNT: the mask lanes are -1 per member, so subtracting the
 		// mask adds one per member.
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.Sub,
-			Dst: q1AccReg(g, AggCount), Src1: q1AccReg(g, AggCount), Src2: q1RegGroup}))
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Sub,
+			Dst: q1AccReg(g, AggCount), Src1: q1AccReg(g, AggCount), Src2: q1RegGroup})
 		for _, ma := range [...]struct {
 			agg int
 			src uint8
 		}{
 			{AggQty, q1RegQty}, {AggPrice, q1RegPrice}, {AggRevenue, q1RegRev},
 		} {
-			oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-				Dst: q1RegTmpB, Src1: ma.src, Src2: q1RegGroup, Pred: nzG}))
-			oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
-				Dst: q1AccReg(g, ma.agg), Src1: q1AccReg(g, ma.agg), Src2: q1RegTmpB}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+				Dst: q1RegTmpB, Src1: ma.src, Src2: q1RegGroup, Pred: nzG})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
+				Dst: q1AccReg(g, ma.agg), Src1: q1AccReg(g, ma.agg), Src2: q1RegTmpB})
 		}
 	}
 }
@@ -183,12 +192,11 @@ func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain, target isa.Target)
 // aggregate) register XORs with itself to zero. The filter pass (HIVE)
 // reuses the high registers for chunk data, so the aggregation pass
 // cannot assume a pristine bank.
-func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain, target isa.Target) {
+func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain) {
 	for g := 0; g < w.Desc.Groups; g++ {
 		for agg := 0; agg < NumAggs; agg++ {
 			r := q1AccReg(g, agg)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.Xor, Dst: r, Src1: r, Src2: r})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Xor, Dst: r, Src1: r, Src2: r})
 		}
 	}
 }
@@ -196,10 +204,10 @@ func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain, target isa.Target) 
 // q1SpillAccs emits the final accumulator spill: every (group,
 // aggregate) register stores its per-lane partial sums to the AccRegion
 // so the processor — and verification — can read them.
-func (w *Workload) q1SpillAccs(e *emitter, oc *offloadChain, target isa.Target) {
+func (w *Workload) q1SpillAccs(e *emitter, oc *offloadChain) {
 	for g := 0; g < w.Desc.Groups; g++ {
 		for agg := 0; agg < NumAggs; agg++ {
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VStore,
 				Src1: q1AccReg(g, agg), Addr: w.accAddr(g, agg), Size: isa.RegisterBytes})
 		}
 	}

@@ -31,21 +31,21 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	block := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: three loads, nine compares and ANDs, and the mask
+	// store — 13 instructions. Lock and unlock frame the block, which
+	// ends in the loop branch.
+	insts := 2 + 13*min(p.Unroll, chunks)
+	return newChunkedStream(insts+1, insts, func(e *emitter) bool {
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0x6800)
+		e.pc = 0x6800
 		first, last := blockBounds(block, p.Unroll, chunks)
-		hive := func(inst isa.OffloadInst) *isa.OffloadInst {
-			inst.Target = isa.TargetHIVE
-			return &inst
-		}
 
-		oc.emit(e, hive(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for ws := first; ws < last; ws += hipeWave {
 			we := ws + hipeWave
 			if we > last {
@@ -55,54 +55,52 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 			regM := func(k int) uint8 { return uint8(hipeWave + k - ws) }
 			// Phase A: hoisted shipdate loads.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldShipDate] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldShipDate] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase B+C: shipdate range into the chunk's mask register,
 			// then immediately reuse the data register for the discount
 			// load — the unpredicated plan is free to hoist it here.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.ShipLo}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
-					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.ShipHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: tmpB}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldDiscount] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.ShipLo})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
+					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.ShipHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: regM(k), Src1: tmpA, Src2: tmpB})
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldDiscount] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase D+E: discount range refined into the running mask,
 			// quantity load hoisted behind it.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.DiscLo}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE,
-					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.DiscHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: tmpA, Src1: tmpA, Src2: tmpB}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: regM(k)}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldQuantity] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.DiscLo})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE,
+					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.DiscHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: tmpA, Src1: tmpA, Src2: tmpB})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: regM(k), Src1: tmpA, Src2: regM(k)})
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldQuantity] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase F: quantity compare, final AND, bitmask store.
 			for k := ws; k < we; k++ {
-				t0 := k * tuplesPerChunk
-				want := packBits(w.prefix[2], t0, t0+tuplesPerChunk)
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.QtyHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: regM(k)}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.QtyHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: regM(k), Src1: tmpA, Src2: regM(k)})
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
 					Addr: w.FinalMask + mem.Addr(k)*mem.Addr(maskBytes), Size: p.OpSize,
-					OnResult: func(r []byte) { w.check(r, want) }}))
+					Expect: w.want.at(2, k), OnResult: w.onResult})
 			}
 		}
-		oc.emitUnlock(e, isa.TargetHIVE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1hiveColumn generates HIVE's two-phase Q01 aggregation. Phase one is
@@ -128,13 +126,23 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	phase := 0
 	pos := 0
 	spilled := false
-	var selected []int
+	selected := make([]int, 0, chunks)
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// The largest of the pass's blocks: a filter block (per chunk a
+	// load, a compare per bound, the AND and the mask store, then the
+	// fetch, test and branch), an aggregation block (per chunk the
+	// mask reload, five loads, the multiply and 11 per group) and the
+	// accumulator clear and spill blocks. Lock, unlock and the loop
+	// branch frame each block.
+	nb := len(st.Bounds)
+	filter, agg := min(wave, chunks), min(p.Unroll, chunks)
+	insts := 2 + max(filter*(nb+3), agg*(7+11*w.Desc.Groups), w.Desc.Groups*NumAggs)
+	maxOps := max(insts+1, 2+filter*(nb+6)+1)
+	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		if phase == 0 && pos >= chunks {
 			// Filter pass complete: select the chunks with matches, and
 			// zero the accumulator registers the filter pass clobbered.
@@ -144,53 +152,51 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 					selected = append(selected, c)
 				}
 			}
-			e := newEmitter(0xB200)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
-			w.q1ClearAccs(e, oc, isa.TargetHIVE)
-			oc.emitUnlock(e, isa.TargetHIVE)
-			return e.ops
+			e.pc = 0xB200
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			w.q1ClearAccs(e, oc)
+			oc.emitUnlock(e)
+			return true
 		}
 		if phase == 1 && pos >= len(selected) {
 			if spilled {
-				return nil
+				return false
 			}
 			// One final block spills the accumulators.
 			spilled = true
-			e := newEmitter(0xB800)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
-			w.q1SpillAccs(e, oc, isa.TargetHIVE)
-			oc.emitUnlock(e, isa.TargetHIVE)
-			return e.ops
+			e.pc = 0xB800
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			w.q1SpillAccs(e, oc)
+			oc.emitUnlock(e)
+			return true
 		}
 		if phase == 0 {
 			// Filter pass: software-pipelined lock blocks, one register
 			// per chunk, bitmasks stored for the processor's decision.
-			e := newEmitter(0xB000)
+			e.pc = 0xB000
 			first, last := blockBounds(pos/wave, wave, chunks)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 			for c := first; c < last; c++ {
 				rD := uint8(c - first)
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 					Dst: rD, Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize})
 			}
 			for c := first; c < last; c++ {
 				rD := uint8(c - first)
-				t0 := c * tuplesPerChunk
-				want := packBits(w.prefix[0], t0, t0+tuplesPerChunk)
 				dst := [2]uint8{tmpA, tmpB}
 				for i, b := range st.Bounds {
-					oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 						ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
 				}
 				if len(st.Bounds) == 2 {
-					oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 						ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
 				}
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskStore,
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 					Src1: tmpA, Addr: w.MaskBase[st.Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-					OnResult: func(r []byte) { w.check(r, want) }})
+					Expect: w.want.at(0, c), OnResult: w.onResult})
 			}
-			unlockAck := oc.emitUnlock(e, isa.TargetHIVE)
+			unlockAck := oc.emitUnlock(e)
 			// Processor decision round trip: fetch each bitmask, branch
 			// on whether the aggregation pass needs this chunk.
 			for c := first; c < last; c++ {
@@ -204,35 +210,35 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 			}
 			e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != chunks})
 			pos = last
-			return e.ops
+			return true
 		}
 		// Aggregation pass: one lock block per group of surviving
 		// chunks, each chunk folded sequentially into the live
 		// accumulators.
-		e := newEmitter(0xB400)
+		e.pc = 0xB400
 		first := pos
 		last := first + p.Unroll
 		if last > len(selected) {
 			last = len(selected)
 		}
-		oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for k := first; k < last; k++ {
 			c := selected[k]
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
 				Dst: q1RegFilter, Addr: w.MaskBase[st.Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
 			for _, ld := range q1Columns {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 					Dst: ld.reg, Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize})
 			}
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 				ALU: isa.Mul, Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc})
-			w.q1EmitGroups(e, oc, isa.TargetHIVE)
+			w.q1EmitGroups(e, oc)
 		}
-		oc.emitUnlock(e, isa.TargetHIVE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
 		pos = last
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1hipeColumn generates the HIPE predicated one-pass Q01 aggregation —
@@ -254,70 +260,72 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 	blocks := (chunks + p.Unroll - 1) / p.Unroll
 
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIPE}
 	setupDone := false
 	block := 0
 	nz := func(reg uint8) isa.Predicate {
 		return isa.Predicate{Valid: true, Reg: reg, WhenZero: false}
 	}
-	hipe := func(inst isa.OffloadInst) *isa.OffloadInst {
-		inst.Target = isa.TargetHIPE
-		return &inst
-	}
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the shipdate load, a compare per bound, up to two ANDs,
+	// five loads, the multiply and 11 per group. Lock, the last block's
+	// accumulator spill and unlock frame the block, which ends in the
+	// loop branch; the setup block is smaller.
+	perChunk := 1 + len(st.Bounds) + 2 + 5 + 1 + 11*w.Desc.Groups
+	insts := 2 + min(p.Unroll, chunks)*perChunk + w.Desc.Groups*NumAggs
+	return newChunkedStream(insts+1, insts, func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the lane-validity row (sub-register
 			// chunks would otherwise leak tail-lane mask bits into the
 			// accumulators) and zero the accumulator registers.
-			e := newEmitter(0xC000)
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad,
-				Dst: q1RegValid, Addr: w.ValidRow, Size: 256}))
-			w.q1ClearAccs(e, oc, isa.TargetHIPE)
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Unlock}))
-			return e.ops
+			e.pc = 0xC000
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+				Dst: q1RegValid, Addr: w.ValidRow, Size: 256})
+			w.q1ClearAccs(e, oc)
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
+			return true
 		}
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0xC100)
+		e.pc = 0xC100
 		first, last := blockBounds(block, p.Unroll, chunks)
-		oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for c := first; c < last; c++ {
 			// Filter stage: unpredicated shipdate load and compare,
 			// confined to the chunk's real lanes.
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: q1RegShip,
-				Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: q1RegShip,
+				Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize})
 			dst := [2]uint8{q1RegTmpA, q1RegTmpB}
 			for i, b := range st.Bounds {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
-					Dst: dst[i], Src1: q1RegShip, UseImm: true, Imm: b.Imm}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
+					Dst: dst[i], Src1: q1RegShip, UseImm: true, Imm: b.Imm})
 			}
 			if len(st.Bounds) == 2 {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB})
 			}
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-				Dst: q1RegFilter, Src1: q1RegTmpA, Src2: q1RegValid}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+				Dst: q1RegFilter, Src1: q1RegTmpA, Src2: q1RegValid})
 			// Key and measure loads, predicated on the filter flag:
 			// chunks wholly past the cutoff never touch DRAM.
 			for _, ld := range q1Columns {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: ld.reg,
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: ld.reg,
 					Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize,
-					Pred: nz(q1RegFilter)}))
+					Pred: nz(q1RegFilter)})
 			}
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
-				Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc, Pred: nz(q1RegFilter)}))
-			w.q1EmitGroups(e, oc, isa.TargetHIPE)
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
+				Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc, Pred: nz(q1RegFilter)})
+			w.q1EmitGroups(e, oc)
 		}
 		if block == blocks-1 {
-			w.q1SpillAccs(e, oc, isa.TargetHIPE)
+			w.q1SpillAccs(e, oc)
 		}
-		oc.emitUnlock(e, isa.TargetHIPE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
-	}}
+		return true
+	})
 }

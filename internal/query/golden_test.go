@@ -65,8 +65,9 @@ func goldenPlans() []Plan {
 }
 
 // fmtMicroOp renders every field of a µop (and its offload payload, when
-// present) into one canonical line. OnResult is a verification callback,
-// not part of the instruction encoding, and is deliberately excluded.
+// present) into one canonical line. OnResult and Expect verify results;
+// they are not part of the instruction encoding and are deliberately
+// excluded.
 func fmtMicroOp(b *strings.Builder, u isa.MicroOp) {
 	fmt.Fprintf(b, "pc=%#x class=%s dst=%d src1=%d src2=%d addr=%#x size=%d taken=%t uc=%t",
 		u.PC, u.Class, u.Dst, u.Src1, u.Src2, uint64(u.Addr), u.Size, u.Taken, u.Uncacheable)

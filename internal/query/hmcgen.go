@@ -14,43 +14,39 @@ import (
 func (w *Workload) hmcTuple() *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
-	// A chunk covers whole tuples for S >= 64, or the predicate-bearing
-	// prefix of a single tuple for smaller sizes.
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
+	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	lanePattern := w.patternLanes()
+	patGE, patLE := w.patternLanes()
 
 	vr := &vregs{}
 	group := 0
 	matched := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: two load-compares, the AND, a test, branch and at most
+	// one store per tuple, and the mask store; then the loop tail.
+	per := min(p.Unroll, chunks)
+	maxOps := per*(4+3*tuplesPerChunk) + 2
+	return newChunkedStream(maxOps, 2*per, func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x3000)
+		e.pc = 0x3000
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
 			addr := w.NSM.Base + mem.Addr(c*stride)
-			wantGE, wantLE := w.expectPatternMasks(firstTuple, S)
 
 			g, l := vr.fresh(), vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: g, Offload: &isa.OffloadInst{
+			e.offload(g, isa.RegNone, isa.OffloadInst{
 				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
-				Addr: addr, Size: p.OpSize, Pattern: lanePattern,
-				OnResult: func(r []byte) { w.check(r, wantGE) },
-			}})
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: l, Offload: &isa.OffloadInst{
+				Addr: addr, Size: p.OpSize, Pattern: patGE,
+				Expect: w.want.at(wantGE, c), OnResult: w.onResult,
+			})
+			e.offload(l, isa.RegNone, isa.OffloadInst{
 				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: w.patternLanesLE(),
-				OnResult: func(r []byte) { w.check(r, wantLE) },
-			}})
+				Addr: addr, Size: p.OpSize, Pattern: patLE,
+				Expect: w.want.at(wantLE, c), OnResult: w.onResult,
+			})
 			m := vr.fresh()
 			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: g, Src2: l})
 			for t := 0; t < tuplesPerChunk; t++ {
@@ -73,61 +69,19 @@ func (w *Workload) hmcTuple() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
-// patternLanes returns the GE pattern truncated/tiled to the instruction
-// immediate (at most one tuple of 16 lanes, fewer for sub-tuple ops).
-func (w *Workload) patternLanes() []int32 {
+// patternLanes returns the GE and LE patterns truncated to the
+// instruction immediate (at most one tuple of 16 lanes, fewer for
+// sub-tuple ops), which the engine tiles across the operand.
+func (w *Workload) patternLanes() (ge, le []int32) {
 	n := int(w.Plan.OpSize) / 4
 	if n > db.NumFields {
 		n = db.NumFields
 	}
-	return w.patGE[:n]
-}
-
-func (w *Workload) patternLanesLE() []int32 {
-	n := int(w.Plan.OpSize) / 4
-	if n > db.NumFields {
-		n = db.NumFields
-	}
-	return w.patLE[:n]
-}
-
-// expectColCmp computes the packed bitmask a lane-uniform CmpRead over
-// column values [t0, t0+n) must return.
-func (w *Workload) expectColCmp(col int, kind isa.ALUKind, imm int32, t0, n int) []byte {
-	vals := w.columnValues(col)
-	lanes := make([]byte, n*4)
-	for i := 0; i < n; i++ {
-		v := vals[t0+i]
-		hit := false
-		switch kind {
-		case isa.CmpGE:
-			hit = v >= imm
-		case isa.CmpLE:
-			hit = v <= imm
-		case isa.CmpLT:
-			hit = v < imm
-		case isa.CmpGT:
-			hit = v > imm
-		case isa.CmpEQ:
-			hit = v == imm
-		case isa.CmpNE:
-			hit = v != imm
-		}
-		if hit {
-			isa.SetLane(lanes, i, -1)
-		}
-	}
-	out := make([]byte, isa.MaskBytes(uint32(n*4)))
-	isa.CompactMask(out, lanes, n*4)
-	return out
-}
-
-func (w *Workload) columnValues(col int) []int32 {
-	return columnSlice(w.Table, col)
+	return w.patGE[:n], w.patLE[:n]
 }
 
 // q1hmcTuple generates the HMC-baseline tuple-at-a-time Q01
@@ -139,36 +93,34 @@ func (w *Workload) columnValues(col int) []int32 {
 func (w *Workload) q1hmcTuple() *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
+	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	lanePattern := w.patternLanesLE()
+	_, patLE := w.patternLanes()
 
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the load-compare, then per tuple a test, branch, reload
+	// and emitTupleAccumulate's 8; then the loop tail.
+	per := min(p.Unroll, chunks)
+	maxOps := per*(1+11*tuplesPerChunk) + 2
+	return newChunkedStream(maxOps, per, func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x9000)
+		e.pc = 0x9000
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
 			addr := w.NSM.Base + mem.Addr(c*stride)
-			_, wantLE := w.expectPatternMasks(firstTuple, S)
 
 			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: m, Offload: &isa.OffloadInst{
+			e.offload(m, isa.RegNone, isa.OffloadInst{
 				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: lanePattern,
-				OnResult: func(r []byte) { w.check(r, wantLE) },
-			}})
+				Addr: addr, Size: p.OpSize, Pattern: patLE,
+				Expect: w.want.at(wantLE, c), OnResult: w.onResult,
+			})
 			for t := 0; t < tuplesPerChunk; t++ {
 				i := firstTuple + t
 				tv := vr.fresh()
@@ -183,13 +135,13 @@ func (w *Workload) q1hmcTuple() *chunkedStream {
 				tup := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
 					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e.emit, acc, i, tup)
+				w.emitTupleAccumulate(e, acc, i, tup)
 			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1hmcColumn generates the HMC-baseline column-at-a-time Q01
@@ -205,33 +157,40 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 	tuplesPerChunk := S / db.ColumnWidth
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	st := w.Desc.Stages[0]
+	// The chunk's load-compares, in issue order: the filter bounds, then
+	// each returnflag and each linestatus value.
+	cmps := w.hmcColumnCompares()
+	nb := len(w.Desc.Stages[0].Bounds)
 
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the load-compares with the filter ANDs, three measure
+	// columns in line-sized loads, the multiply and 9 µops per group;
+	// then the loop tail.
+	per := min(p.Unroll, chunks)
+	maxOps := per*(2*len(cmps)+3*((S+63)/64)+1+9*w.Desc.Groups) + 2
+	return newChunkedStream(maxOps, per*len(cmps), func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x9800)
+		e.pc = 0x9800
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			t0 := c * tuplesPerChunk
-			cmpRead := func(col int, kind isa.ALUKind, imm int32) isa.Reg {
-				want := w.expectColCmp(col, kind, imm, t0, tuplesPerChunk)
+			cmpRead := func(k int) isa.Reg {
+				cm := cmps[k]
 				r := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Offload, Dst: r, Offload: &isa.OffloadInst{
-					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: kind,
-					Addr: w.DSM.ColBase[col] + mem.Addr(c*S), Size: p.OpSize, Imm: imm,
-					OnResult: func(r []byte) { w.check(r, want) },
-				}})
+				e.offload(r, isa.RegNone, isa.OffloadInst{
+					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: cm.b.Kind,
+					Addr: w.DSM.ColBase[cm.col] + mem.Addr(c*S), Size: p.OpSize, Imm: cm.b.Imm,
+					Expect: w.want.at(k, c), OnResult: w.onResult,
+				})
 				return r
 			}
 			// Filter bitmask in the vault.
 			m := isa.RegNone
-			for _, b := range st.Bounds {
-				r := cmpRead(st.Col, b.Kind, b.Imm)
+			for k := 0; k < nb; k++ {
+				r := cmpRead(k)
 				if m == isa.RegNone {
 					m = r
 				} else {
@@ -241,13 +200,13 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 				}
 			}
 			// Key bitmasks in the vault, one compare per distinct value.
-			rfMask := make([]isa.Reg, db.RFValues)
+			var rfMask [db.RFValues]isa.Reg
 			for v := range rfMask {
-				rfMask[v] = cmpRead(db.FieldReturnFlag, isa.CmpEQ, int32(v))
+				rfMask[v] = cmpRead(nb + v)
 			}
-			lsMask := make([]isa.Reg, db.LSValues)
+			var lsMask [db.LSValues]isa.Reg
 			for v := range lsMask {
-				lsMask[v] = cmpRead(db.FieldLineStatus, isa.CmpEQ, int32(v))
+				lsMask[v] = cmpRead(nb + db.RFValues + v)
 			}
 			// Measure columns reload through the cache hierarchy, in
 			// line-sized pieces.
@@ -281,16 +240,16 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: t, Src1: src, Src2: gm})
 					return t
 				}
-				acc.add(e.emit, isa.IntALU, g, AggCount, gm)
-				acc.add(e.emit, isa.IntALU, g, AggQty, masked(qty))
-				acc.add(e.emit, isa.IntALU, g, AggPrice, masked(price))
-				acc.add(e.emit, isa.IntALU, g, AggRevenue, masked(rev))
+				acc.add(e, isa.IntALU, g, AggCount, gm)
+				acc.add(e, isa.IntALU, g, AggQty, masked(qty))
+				acc.add(e, isa.IntALU, g, AggPrice, masked(price))
+				acc.add(e, isa.IntALU, g, AggRevenue, masked(rev))
 			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // hmcColumn generates the HMC-baseline column-at-a-time scan: per column
@@ -309,30 +268,34 @@ func (w *Workload) hmcColumn() *chunkedStream {
 	vr := &vregs{}
 	stage := 0
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	region := 0 // expected-result region of the stage's first bound
+	// Per chunk: a load-compare and AND per bound, the previous-mask
+	// load and AND, and the store; then the loop tail.
+	nb := maxBounds(stages)
+	per := min(p.Unroll, chunks)
+	maxOps := per*(2*nb+2) + 2
+	return newChunkedStream(maxOps, per*nb, func(e *emitter) bool {
 		if stage >= len(stages) {
-			return nil
+			return false
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x4000 + 0x400*stage))
+		e.pc = uint64(0x4000 + 0x400*stage)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			t0 := c * tuplesPerChunk
 			dataAddr := w.DSM.ColBase[col] + mem.Addr(c*S)
-			var results []isa.Reg
+			var buf [2]isa.Reg
+			results := buf[:0]
 			// One load-compare per stage bound, straight from the
 			// description.
-			for _, cm := range st.Bounds {
-				cm := cm
-				want := w.expectColCmp(col, cm.Kind, cm.Imm, t0, tuplesPerChunk)
+			for i, cm := range st.Bounds {
 				r := vr.fresh()
 				results = append(results, r)
-				e.emit(isa.MicroOp{Class: isa.Offload, Dst: r, Offload: &isa.OffloadInst{
+				e.offload(r, isa.RegNone, isa.OffloadInst{
 					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: cm.Kind,
 					Addr: dataAddr, Size: p.OpSize, Imm: cm.Imm,
-					OnResult: func(r []byte) { w.check(r, want) },
-				}})
+					Expect: w.want.at(region+i, c), OnResult: w.onResult,
+				})
 			}
 			m := results[0]
 			for _, r := range results[1:] {
@@ -356,8 +319,9 @@ func (w *Workload) hmcColumn() *chunkedStream {
 		group++
 		if group >= groups {
 			group = 0
+			region += len(st.Bounds)
 			stage++
 		}
-		return e.ops
-	}}
+		return true
+	})
 }

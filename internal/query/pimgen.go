@@ -35,12 +35,7 @@ const hipeWave = 15
 func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
+	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
 	wave := p.Unroll
 	if wave > hiveWave {
@@ -52,58 +47,58 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	const regGE, regLE = 33, 34
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: target}
 	setupDone := false
 	group := 0
 	matched := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the data load, two compares, the AND and the mask
+	// store; then the bitmask fetch and per tuple a test, branch and at
+	// most one store. Lock, unlock and the loop tail frame the block.
+	per := min(wave, chunks)
+	insts := 2 + 5*per
+	maxOps := insts + per*(1+3*tuplesPerChunk) + 2
+	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the GE/LE pattern rows into the two
 			// reserved bound registers.
-			e := newEmitter(0x5000)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
+			e.pc = 0x5000
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: regGE, Addr: w.PatternGE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
-			return e.ops
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
+			return true
 		}
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x5100)
+		e.pc = 0x5100
 		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: rD, Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
 		}
 		// Phase B: per-chunk pattern compares into shared temporaries,
 		// bitmask stored straight out of the temp.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			firstTuple := c * tuplesPerChunk
-			wantGE, wantLE := w.expectPatternMasks(firstTuple, S)
-			want := make([]byte, len(wantGE))
-			for i := range want {
-				want[i] = wantGE[i] & wantLE[i]
-			}
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 				ALU: isa.CmpGE, Dst: tmpA, Src1: rD, Src2: regGE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 				ALU: isa.CmpLE, Dst: tmpB, Src1: rD, Src2: regLE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 				ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, want) }})
+				Expect: w.want.at(wantGELE, c), OnResult: w.onResult})
 		}
-		unlockAck := oc.emitUnlock(e, target)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, test per
 		// tuple, materialise matches.
@@ -126,8 +121,8 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1pimTuple generates the HIVE tuple-at-a-time Q01 aggregation: per
@@ -139,12 +134,7 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
+	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
 	wave := p.Unroll
 	if wave > hiveWave {
@@ -157,46 +147,51 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 	const tmpA = 30
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: target}
 	setupDone := false
 	group := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the data load, the compare and the mask store; then
+	// the bitmask fetch and per tuple a test, branch, reload and
+	// emitTupleAccumulate's 8. Lock, unlock and the loop tail frame the
+	// block.
+	per := min(wave, chunks)
+	insts := 2 + 3*per
+	maxOps := insts + per*(1+11*tuplesPerChunk) + 2
+	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the LE pattern row into the bound
 			// register (Q01's filter is a single upper bound).
-			e := newEmitter(0xA000)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
+			e.pc = 0xA000
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
-			return e.ops
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
+			return true
 		}
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0xA100)
+		e.pc = 0xA100
 		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: rD, Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
 		}
 		// Phase B: per-chunk filter compare, bitmask stored from the temp.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			firstTuple := c * tuplesPerChunk
-			_, wantLE := w.expectPatternMasks(firstTuple, S)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 				ALU: isa.CmpLE, Dst: tmpA, Src1: rD, Src2: regLE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, wantLE) }})
+				Expect: w.want.at(wantLE, c), OnResult: w.onResult})
 		}
-		unlockAck := oc.emitUnlock(e, target)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, branch per
 		// tuple, accumulate matching tuples' groups.
@@ -216,13 +211,13 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 				tup := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
 					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e.emit, acc, i, tup)
+				w.emitTupleAccumulate(e, acc, i, tup)
 			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // hiveColumn generates HIVE's column-at-a-time scan (Figure 3b/3c): per
@@ -244,7 +239,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 
 	const tmpA, tmpB, tmpP = 30, 31, 32
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	stage := 0
 	pos := 0 // index into the selected chunk list of this stage
 	selected := make([]int, 0, chunks)
@@ -252,14 +247,20 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		selected = append(selected, c) // stage 0 processes everything
 	}
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: the data load, previous-mask load, a compare per bound,
+	// two ANDs and the mask store; then the bitmask fetch, test and
+	// branch. Lock, unlock and the loop branch frame the block.
+	per := min(wave, chunks)
+	insts := 2 + per*(maxBounds(stages)+5)
+	maxOps := insts + 3*per + 1
+	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		for pos >= len(selected) {
 			// Advance to the next column; recompute the chunks that can
 			// still produce matches.
 			stage++
 			pos = 0
 			if stage >= len(stages) {
-				return nil
+				return false
 			}
 			next := selected[:0]
 			for c := 0; c < chunks; c++ {
@@ -270,24 +271,24 @@ func (w *Workload) hiveColumn() *chunkedStream {
 			selected = next
 			if len(selected) == 0 {
 				stage = len(stages)
-				return nil
+				return false
 			}
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x6000 + 0x400*stage))
+		e.pc = uint64(0x6000 + 0x400*stage)
 
 		first := pos
 		last := first + wave
 		if last > len(selected) {
 			last = len(selected)
 		}
-		oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted column-data loads.
 		for k := first; k < last; k++ {
 			c := selected[k]
 			rD := uint8(k - first)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 				Dst: rD, Addr: w.DSM.ColBase[col] + mem.Addr(c*S), Size: p.OpSize})
 		}
 		// Phase B: per-chunk compares, previous-column mask AND, store —
@@ -295,30 +296,28 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		for k := first; k < last; k++ {
 			c := selected[k]
 			rD := uint8(k - first)
-			t0 := c * tuplesPerChunk
-			want := packBits(w.prefix[stage], t0, t0+tuplesPerChunk)
 			if stage > 0 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskLoad,
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
 					Dst: tmpP, Addr: w.MaskBase[stages[stage-1].Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
 			}
 			dst := [2]uint8{tmpA, tmpB}
 			for i, b := range st.Bounds {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 					ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
 			}
 			if len(st.Bounds) == 2 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 					ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
 			}
 			if stage > 0 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU,
 					ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpP})
 			}
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.MaskBase[col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, want) }})
+				Expect: w.want.at(stage, c), OnResult: w.onResult})
 		}
-		unlockAck := oc.emitUnlock(e, isa.TargetHIVE)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor decision round trip: fetch each fresh bitmask from
 		// memory (first touch per line goes to DRAM) and branch on
@@ -335,8 +334,8 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		}
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
 		pos = last
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // hipeColumn generates the HIPE predicated scan — the paper's
@@ -370,24 +369,32 @@ func (w *Workload) hipeColumn() *chunkedStream {
 		wave = 10
 	}
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIPE}
 	block := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk and stage: the load, a compare per bound and up to two
+	// ANDs; then the mask store and, aggregating, four more
+	// instructions. Lock, accumulator spill and unlock frame the block,
+	// which ends in the loop branch.
+	perChunk := 1
+	if p.Aggregate {
+		perChunk += 4
+	}
+	for _, st := range stages {
+		perChunk += len(st.Bounds) + 3
+	}
+	insts := 3 + min(p.Unroll, chunks)*perChunk
+	return newChunkedStream(insts+1, insts, func(e *emitter) bool {
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0x7000)
+		e.pc = 0x7000
 		first, last := blockBounds(block, p.Unroll, chunks)
 		nz := func(reg uint8) isa.Predicate {
 			return isa.Predicate{Valid: true, Reg: reg, WhenZero: false}
 		}
-		hipe := func(inst isa.OffloadInst) *isa.OffloadInst {
-			inst.Target = isa.TargetHIPE
-			return &inst
-		}
 
-		oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for ws := first; ws < last; ws += wave {
 			we := ws + wave
 			if we > last {
@@ -413,7 +420,7 @@ func (w *Workload) hipeColumn() *chunkedStream {
 					if s > 0 {
 						ld.Pred = nz(regM(k))
 					}
-					oc.emit(e, hipe(ld))
+					oc.emit(e, ld)
 				}
 				last := s == len(stages)-1
 				for k := ws; k < we; k++ {
@@ -427,29 +434,27 @@ func (w *Workload) hipeColumn() *chunkedStream {
 						if s == 0 && len(st.Bounds) == 1 {
 							d = regM(k) // single first-stage bound is the mask
 						}
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
-							Dst: d, Src1: dataReg(k), UseImm: true, Imm: b.Imm, Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
+							Dst: d, Src1: dataReg(k), UseImm: true, Imm: b.Imm, Pred: pred})
 					}
 					switch {
 					case s == 0 && len(st.Bounds) == 2:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpA, Src2: tmpB}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: regM(k), Src1: tmpA, Src2: tmpB})
 					case s > 0 && len(st.Bounds) == 2:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: tmpC, Src1: tmpA, Src2: tmpB, Pred: pred}))
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpC, Src2: regM(k), Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: tmpC, Src1: tmpA, Src2: tmpB, Pred: pred})
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: regM(k), Src1: tmpC, Src2: regM(k), Pred: pred})
 					case s > 0 && len(st.Bounds) == 1:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpA, Src2: regM(k), Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: regM(k), Src1: tmpA, Src2: regM(k), Pred: pred})
 					}
 					if last {
-						t0 := k * tuplesPerChunk
-						want := packBits(w.prefix[len(stages)-1], t0, t0+tuplesPerChunk)
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
+						oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
 							Addr: w.FinalMask + mem.Addr(k)*mem.Addr(maskBytes), Size: p.OpSize,
-							Pred:     nz(regM(k)),
-							OnResult: func(r []byte) { w.check(r, want) }}))
+							Pred:   nz(regM(k)),
+							Expect: w.want.at(s, k), OnResult: w.onResult})
 					}
 				}
 			}
@@ -460,27 +465,27 @@ func (w *Workload) hipeColumn() *chunkedStream {
 				// Add itself is unpredicated so a squash (which zeroes
 				// its tmp operand) cannot zero the accumulator.
 				for k := ws; k < we; k++ {
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
 						Addr: w.DSM.ColBase[db.FieldExtendedPrice] + mem.Addr(k*S), Size: p.OpSize,
-						Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
-						Dst: tmpA, Src1: regX(k), Src2: regC(k), Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-						Dst: tmpA, Src1: tmpA, Src2: regM(k), Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
-						Dst: regAcc, Src1: regAcc, Src2: tmpA}))
+						Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
+						Dst: tmpA, Src1: regX(k), Src2: regC(k), Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+						Dst: tmpA, Src1: tmpA, Src2: regM(k), Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
+						Dst: regAcc, Src1: regAcc, Src2: tmpA})
 				}
 			}
 		}
 		if p.Aggregate && block == blocks-1 {
 			// Spill the accumulator so the processor (and verification)
 			// can read the per-lane partial sums.
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VStore, Src1: regAcc,
-				Addr: w.AccRegion, Size: isa.RegisterBytes}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VStore, Src1: regAcc,
+				Addr: w.AccRegion, Size: isa.RegisterBytes})
 		}
-		oc.emitUnlock(e, isa.TargetHIPE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
-	}}
+		return true
+	})
 }

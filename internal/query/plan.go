@@ -183,28 +183,60 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%s/%s/%dB/%dx%s", p.Arch, p.Strategy, p.OpSize, p.Unroll, suffix)
 }
 
-// chunkedStream materialises µops group by group, so multi-million-µop
-// programs never exist in memory at once.
+// chunkedStream materialises µops block by block, so multi-million-µop
+// programs never exist in memory at once. The stream owns one emitter
+// and refills it for every block: once its buffers have grown to the
+// largest block, emitting allocates nothing. An Offload µop's
+// instruction lives in the emitter, so it is valid until the following
+// Next call — the lifetime cpu.Stream grants.
 type chunkedStream struct {
-	next func() []isa.MicroOp
-	buf  []isa.MicroOp
+	// next emits the following block into e, which the stream has
+	// emptied, and reports whether the program continues: false ends the
+	// stream, and the call emits nothing. A block may be empty; the
+	// stream then asks for the next one.
+	next func(e *emitter) bool
+	e    emitter
+	pos  int // next µop of the current block
+	inst int // next offload instruction of the current block
 	done bool
+}
+
+// newChunkedStream returns a stream over next whose buffers already
+// hold the largest block next can emit — at most ops µops, insts of them
+// offloads — so emitting allocates nothing. A bound set too low costs
+// allocations, never correctness.
+func newChunkedStream(ops, insts int, next func(e *emitter) bool) *chunkedStream {
+	s := &chunkedStream{next: next}
+	s.e.ops = make([]isa.MicroOp, 0, ops)
+	s.e.insts = make([]isa.OffloadInst, 0, insts)
+	return s
+}
+
+// maxBounds is the largest bound count of any stage.
+func maxBounds(stages []Stage) int {
+	n := 0
+	for _, st := range stages {
+		n = max(n, len(st.Bounds))
+	}
+	return n
 }
 
 // Next implements cpu.Stream.
 func (s *chunkedStream) Next() (isa.MicroOp, bool) {
-	for len(s.buf) == 0 {
+	for s.pos == len(s.e.ops) {
 		if s.done {
 			return isa.MicroOp{}, false
 		}
-		s.buf = s.next()
-		if s.buf == nil {
-			s.done = true
-			return isa.MicroOp{}, false
-		}
+		s.e.ops, s.e.insts = s.e.ops[:0], s.e.insts[:0]
+		s.pos, s.inst = 0, 0
+		s.done = !s.next(&s.e)
 	}
-	op := s.buf[0]
-	s.buf = s.buf[1:]
+	op := s.e.ops[s.pos]
+	s.pos++
+	if op.Class == isa.Offload {
+		op.Offload = &s.e.insts[s.inst]
+		s.inst++
+	}
 	return op, true
 }
 
@@ -224,17 +256,4 @@ func bitRange(mask []byte, lo, hi int) bool {
 		}
 	}
 	return false
-}
-
-// packBits extracts bits [lo, hi) of mask into a fresh little-endian
-// packed slice.
-func packBits(mask []byte, lo, hi int) []byte {
-	out := make([]byte, (hi-lo+7)/8)
-	for i := lo; i < hi; i++ {
-		if i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0 {
-			j := i - lo
-			out[j/8] |= 1 << (j % 8)
-		}
-	}
-	return out
 }

@@ -63,7 +63,12 @@ type Workload struct {
 	// groupMask[g] = prefix[last] ∧ group-g membership (Q1Agg only).
 	groupMask [][]byte
 
-	// Runtime verification of engine-computed results.
+	// Runtime verification of engine-computed results. want holds every
+	// result the plan's checks expect, computed once by Prepare; each
+	// checking instruction carries its chunk's mask as Expect and
+	// onResult (w.check, bound once) as OnResult.
+	want       maskTable
+	onResult   func(got, want []byte)
 	mismatches int
 	checked    int
 }
@@ -221,6 +226,8 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 			w.groupMask[g] = gm
 		}
 	}
+	w.prepareExpected()
+	w.onResult = w.check
 	return w, nil
 }
 
@@ -257,43 +264,157 @@ func (w *Workload) accAddr(g, agg int) mem.Addr {
 	return w.AccRegion + mem.Addr((g*NumAggs+agg)*isa.RegisterBytes)
 }
 
-// expectPatternMasks returns the packed GE/LE lane masks a pattern compare
-// over [first, first+n) tuples should produce.
-func (w *Workload) expectPatternMasks(firstTuple, nBytes int) (ge, le []byte) {
-	lanes := nBytes / 4
-	glanes := make([]byte, nBytes)
-	llanes := make([]byte, nBytes)
-	base := uint64(w.NSM.TupleAddr(firstTuple))
-	for i := 0; i < lanes; i++ {
-		v := isa.LaneAt(w.M.Image[base:], i)
-		if v >= w.patGE[i%db.NumFields] {
-			isa.SetLane(glanes, i, -1)
-		}
-		if v <= w.patLE[i%db.NumFields] {
-			isa.SetLane(llanes, i, -1)
-		}
-	}
-	ge = make([]byte, isa.MaskBytes(uint32(nBytes)))
-	le = make([]byte, isa.MaskBytes(uint32(nBytes)))
-	isa.CompactMask(ge, glanes, nBytes)
-	isa.CompactMask(le, llanes, nBytes)
-	return ge, le
+// maskTable holds expected per-chunk bitmasks in one flat slice:
+// regions × chunks masks of width bytes, one bit per lane, LSB-first.
+type maskTable struct {
+	flat          []byte
+	chunks, width int
 }
 
-// expectedMaskRegion lays a per-tuple bitmask out the way the chunked
-// scan stores it: each chunk of OpSize/4 tuples occupies
+func newMaskTable(regions, chunks, width int) maskTable {
+	return maskTable{flat: make([]byte, regions*chunks*width), chunks: chunks, width: width}
+}
+
+// at returns region r's mask for chunk c.
+func (t maskTable) at(r, c int) []byte {
+	off := (r*t.chunks + c) * t.width
+	return t.flat[off : off+t.width : off+t.width]
+}
+
+// set marks lane i of chunk c in region r.
+func (t maskTable) set(r, c, i int) {
+	t.flat[(r*t.chunks+c)*t.width+i/8] |= 1 << (i % 8)
+}
+
+// columnMasks allocates regions of chunk masks in the column scans'
+// storage layout: each chunk of OpSize/4 tuples occupies
 // MaskBytes(OpSize) bytes (for chunks smaller than 8 tuples the packing
-// differs from a flat bitmask).
-func (w *Workload) expectedMaskRegion(flat []byte) []byte {
+// differs from a flat bitmask). It also returns the tuples per chunk.
+func (w *Workload) columnMasks(regions int) (maskTable, int) {
 	tuplesPerChunk := int(w.Plan.OpSize) / db.ColumnWidth
-	maskBytes := int(isa.MaskBytes(w.Plan.OpSize))
 	chunks := w.Table.N / tuplesPerChunk
-	out := make([]byte, chunks*maskBytes)
-	for c := 0; c < chunks; c++ {
-		piece := packBits(flat, c*tuplesPerChunk, (c+1)*tuplesPerChunk)
-		copy(out[c*maskBytes:], piece)
+	return newMaskTable(regions, chunks, int(isa.MaskBytes(w.Plan.OpSize))), tuplesPerChunk
+}
+
+// expectedMaskRegion lays a flat per-tuple bitmask out the way the
+// chunked scan stores it.
+func (w *Workload) expectedMaskRegion(flat []byte) []byte {
+	t, tpc := w.columnMasks(1)
+	for i := 0; i < w.Table.N; i++ {
+		if flat[i/8]&(1<<(i%8)) != 0 {
+			t.set(0, i/tpc, i%tpc)
+		}
 	}
-	return out
+	return t.flat
+}
+
+// tupleChunking reports how a tuple-at-a-time engine plan of op size S
+// walks the row store: a chunk covers whole tuples for S >= 64, or the
+// predicate-bearing prefix of a single tuple for smaller sizes; chunks
+// start stride bytes apart.
+func tupleChunking(S int) (tuplesPerChunk, stride int) {
+	if S < db.TupleBytes {
+		return 1, db.TupleBytes
+	}
+	return S / db.TupleBytes, S
+}
+
+// Regions of a tuple-at-a-time plan's expected results: the GE and LE
+// pattern compares over a chunk's lanes, and their AND.
+const (
+	wantGE = iota
+	wantLE
+	wantGELE
+)
+
+// laneCmp is one lane-uniform compare of a column against a bound.
+type laneCmp struct {
+	col int
+	b   Bound
+}
+
+// hmcColumnCompares lists the load-compares an HMC column plan issues
+// per chunk, in issue order: every bound of every stage, then, for Q01,
+// one equality compare per group-key value. Region r of the plan's
+// expected results belongs to compare r.
+func (w *Workload) hmcColumnCompares() []laneCmp {
+	var cmps []laneCmp
+	for _, st := range w.Desc.Stages {
+		for _, b := range st.Bounds {
+			cmps = append(cmps, laneCmp{st.Col, b})
+		}
+	}
+	if w.Desc.Grouped() {
+		for v := 0; v < db.RFValues; v++ {
+			cmps = append(cmps, laneCmp{db.FieldReturnFlag, Bound{isa.CmpEQ, int32(v)}})
+		}
+		for v := 0; v < db.LSValues; v++ {
+			cmps = append(cmps, laneCmp{db.FieldLineStatus, Bound{isa.CmpEQ, int32(v)}})
+		}
+	}
+	return cmps
+}
+
+// prepareExpected computes, once, every result the plan's runtime
+// checks expect an engine to return, into w.want:
+//
+//   - tuple-at-a-time engine plans: the GE, LE and GE∧LE pattern masks
+//     of every chunk of row-store lanes (regions wantGE, wantLE,
+//     wantGELE);
+//   - HMC column plans: one region per compare of hmcColumnCompares;
+//   - HIVE and HIPE column plans: one region per predicate stage, the
+//     chunked running bitmask after that stage (prefix[s]).
+//
+// x86 plans check nothing, nor does HIPE's Q01 plan, which verifies
+// its spilled accumulators instead.
+func (w *Workload) prepareExpected() {
+	p := w.Plan
+	switch {
+	case p.Arch == X86, p.Arch == HIPE && w.Desc.Grouped():
+	case p.Strategy == TupleAtATime:
+		S := int(p.OpSize)
+		tuplesPerChunk, stride := tupleChunking(S)
+		chunks := w.Table.N / tuplesPerChunk
+		w.want = newMaskTable(3, chunks, int(isa.MaskBytes(p.OpSize)))
+		for c := 0; c < chunks; c++ {
+			data := w.M.Image[uint64(w.NSM.Base)+uint64(c*stride):]
+			for i := 0; i < S/isa.LaneBytes; i++ {
+				v := isa.LaneAt(data, i)
+				ge := v >= w.patGE[i%db.NumFields]
+				le := v <= w.patLE[i%db.NumFields]
+				if ge {
+					w.want.set(wantGE, c, i)
+				}
+				if le {
+					w.want.set(wantLE, c, i)
+				}
+				if ge && le {
+					w.want.set(wantGELE, c, i)
+				}
+			}
+		}
+	case p.Arch == HMC:
+		cmps := w.hmcColumnCompares()
+		var tpc int
+		w.want, tpc = w.columnMasks(len(cmps))
+		for r, cmp := range cmps {
+			for i, v := range columnSlice(w.Table, cmp.col)[:w.Table.N] {
+				if match1(cmp.b, v) {
+					w.want.set(r, i/tpc, i%tpc)
+				}
+			}
+		}
+	default:
+		var tpc int
+		w.want, tpc = w.columnMasks(len(w.prefix))
+		for s, m := range w.prefix {
+			for i := 0; i < w.Table.N; i++ {
+				if m[i/8]&(1<<(i%8)) != 0 {
+					w.want.set(s, i/tpc, i%tpc)
+				}
+			}
+		}
+	}
 }
 
 // check records an engine-result comparison.

@@ -23,11 +23,14 @@ func (w *Workload) x86Tuple() *chunkedStream {
 	matched := 0
 
 	const pcBase = 0x1000
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per tuple: its loads, two compares, the AND, the branch and at
+	// most one store; then the loop tail.
+	maxOps := p.Unroll*(chunksPerTuple+5) + 2
+	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(pcBase)
+		e.pc = pcBase
 		first, last := blockBounds(group, p.Unroll, w.Table.N)
 		for i := first; i < last; i++ {
 			// Load the entire tuple: the row-store wastes bandwidth on
@@ -62,8 +65,8 @@ func (w *Workload) x86Tuple() *chunkedStream {
 		// Loop overhead once per unrolled group.
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1x86Tuple generates the AVX tuple-at-a-time Q01 aggregation over the
@@ -86,11 +89,14 @@ func (w *Workload) q1x86Tuple() *chunkedStream {
 	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
 
 	const pcBase = 0x8000
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per tuple: its loads, a compare and AND per bound, the branch and
+	// the accumulation (emitTupleAccumulate's 8); then the loop tail.
+	maxOps := p.Unroll*(chunksPerTuple+2*len(st.Bounds)+8) + 2
+	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(pcBase)
+		e.pc = pcBase
 		first, last := blockBounds(group, p.Unroll, w.Table.N)
 		for i := first; i < last; i++ {
 			var firstChunk isa.Reg
@@ -122,12 +128,12 @@ func (w *Workload) q1x86Tuple() *chunkedStream {
 			}
 			// Group dispatch and accumulates over the already-loaded
 			// tuple registers.
-			w.emitTupleAccumulate(e.emit, acc, i, firstChunk)
+			w.emitTupleAccumulate(e, acc, i, firstChunk)
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // q1x86Column generates the AVX column-at-a-time Q01 aggregation over
@@ -147,11 +153,14 @@ func (w *Workload) q1x86Column() *chunkedStream {
 	acc := &cpuAcc{vr: vr}
 	group := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: six loads, a compare and AND per bound, the multiply
+	// and 11 µops per group; then the loop tail.
+	maxOps := min(p.Unroll, chunks)*(2*len(st.Bounds)+6+11*w.Desc.Groups) + 2
+	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x8800)
+		e.pc = 0x8800
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			load := func(col int) isa.Reg {
@@ -193,16 +202,16 @@ func (w *Workload) q1x86Column() *chunkedStream {
 					e.emit(isa.MicroOp{Class: isa.VecALU, Dst: t, Src1: src, Src2: gm, Size: S})
 					return t
 				}
-				acc.add(e.emit, isa.IntALU, g, AggCount, gm)
-				acc.add(e.emit, isa.IntALU, g, AggQty, masked(qty))
-				acc.add(e.emit, isa.IntALU, g, AggPrice, masked(price))
-				acc.add(e.emit, isa.IntALU, g, AggRevenue, masked(rev))
+				acc.add(e, isa.IntALU, g, AggCount, gm)
+				acc.add(e, isa.IntALU, g, AggQty, masked(qty))
+				acc.add(e, isa.IntALU, g, AggPrice, masked(price))
+				acc.add(e, isa.IntALU, g, AggRevenue, masked(rev))
 			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
-	}}
+		return true
+	})
 }
 
 // x86Column generates the AVX column-at-a-time scan over the DSM layout:
@@ -220,13 +229,16 @@ func (w *Workload) x86Column() *chunkedStream {
 	stage := 0
 	group := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	// Per chunk: data and previous-mask loads, a compare and AND per
+	// bound, the previous-mask AND and the store; then the loop tail.
+	maxOps := min(p.Unroll, chunks)*(2*maxBounds(stages)+3) + 2
+	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
 		if stage >= len(stages) {
-			return nil
+			return false
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x2000 + 0x400*stage))
+		e.pc = uint64(0x2000 + 0x400*stage)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			dataAddr := w.DSM.ColBase[col] + mem.Addr(c)*mem.Addr(S)
@@ -242,10 +254,12 @@ func (w *Workload) x86Column() *chunkedStream {
 					Addr: w.MaskBase[stages[stage-1].Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
 			}
 			// One vector compare per stage bound, then mask combines.
-			regs := make([]isa.Reg, len(st.Bounds))
-			for i := range st.Bounds {
-				regs[i] = vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: regs[i], Src1: d, Size: S})
+			var buf [2]isa.Reg
+			regs := buf[:0]
+			for range st.Bounds {
+				r := vr.fresh()
+				regs = append(regs, r)
+				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: r, Src1: d, Size: S})
 			}
 			cur := regs[0]
 			for _, r := range regs[1:] {
@@ -270,6 +284,6 @@ func (w *Workload) x86Column() *chunkedStream {
 			group = 0
 			stage++
 		}
-		return e.ops
-	}}
+		return true
+	})
 }
