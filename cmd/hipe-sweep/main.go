@@ -31,8 +31,7 @@
 // -counters snapshots each cell's machine counters (cache hits, DRAM
 // activates, link packets, event-engine lanes…) after its run: the CSV
 // export grows one ctr_<key> column per counter and the JSON export a
-// Counters field per cell. Off by default; counter-off exports are
-// byte-identical to their pre-observability schema, counter-on exports
+// Counters field per cell. Off by default; counter-on exports are
 // byte-identical at any worker count. -cpuprofile/-memprofile/-trace-out
 // profile the simulator process itself over the sweep.
 //

@@ -1,16 +1,19 @@
-// The worker pool: cells fan out over GOMAXPROCS goroutines, each
+// The cell executor: every cell is cut into one or more shards, the
+// (cell, shard) tasks fan out over GOMAXPROCS goroutines, each
 // simulation runs single-threaded, and results land in an index-ordered
 // ResultSet so the outcome is independent of scheduling.
 package sweep
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/energy"
 	"github.com/hipe-sim/hipe/internal/machine"
 	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
@@ -27,26 +30,24 @@ type Options struct {
 	// arrive in completion order, not index order — use it for
 	// progress reporting, not aggregation.
 	OnCell func(completed, total int, r CellResult)
-	// Counters enables machine-counter capture: each cell's machine
+	// Counters enables machine-counter capture: each shard's machine
 	// registry (plus its event engine's scheduler accounting) is
-	// snapshotted into CellResult.Counters after the run, before the
-	// machine is reused. Off by default; when off no capture code runs
-	// and exports are byte-identical to their pre-observability form.
+	// snapshotted after its run, before the machine is reused, and a
+	// cell's snapshots sum into CellResult.Counters. Off by default; when
+	// off no capture code runs and exports carry no counter columns.
 	// Counters need real simulation: estimate mode refuses them.
 	Counters bool
 	// Exec selects the execution mode. ExecExact (the zero value) runs
 	// full machine simulations; ExecEstimate prices each cell with the
 	// analytic cost model instead — no machines are built — and marks
-	// every result with CellResult.Mode. Exact-mode results and exports
-	// are byte-identical to runs made before this knob existed.
+	// every result with CellResult.Mode.
 	Exec ExecMode
-	// CellShards, when above 1, runs each exact cell as a parallel
-	// shard simulation: the cell's table is partitioned into CellShards
-	// contiguous shards (db.Partition), the per-shard machines simulate
-	// concurrently on the worker pool, and the partials merge in shard
-	// order — cycles as the critical path (slowest shard), energy and
-	// counter totals summed — so results are byte-identical at any
-	// worker count. 0 or 1 keeps the whole-table single-machine path.
+	// CellShards is the number of contiguous shards each exact cell's
+	// table is cut into (db.Partition). The shards simulate concurrently
+	// on the worker pool and merge in shard order — cycles as the
+	// critical path (slowest shard), energy and counter totals summed —
+	// so results are byte-identical at any worker count. 0 or 1 runs
+	// each cell as one shard: the whole table on one machine.
 	CellShards int
 }
 
@@ -102,13 +103,11 @@ type CellResult struct {
 	// and JSON-omitted — for fixed-architecture cells.
 	Routing *cost.Decision `json:",omitempty"`
 	// Counters is the cell's machine-counter snapshot when
-	// Options.Counters was set; nil — and JSON-omitted — otherwise, so
-	// counter-off exports are unchanged.
+	// Options.Counters was set; nil — and JSON-omitted — otherwise.
 	Counters *obs.Counters `json:",omitempty"`
 	// Mode records the execution mode that produced Result: ExecEstimate
 	// cells carry model-predicted cycles over reference-evaluator
-	// answers. ExecExact (the zero value) is JSON-omitted, so exact
-	// exports are byte-identical to their pre-mode form.
+	// answers. ExecExact (the zero value) is JSON-omitted.
 	Mode ExecMode `json:",omitempty"`
 	// Shards records the intra-cell shard count when the cell ran as a
 	// parallel shard simulation (Options.CellShards > 1): Result.Cycles
@@ -183,43 +182,48 @@ func Run(cfg Config, g Grid, opt Options) (*ResultSet, error) {
 	return RunCells(cfg, cells, opt)
 }
 
-// tableCache resolves each distinct workload's table and selectivity
-// exactly once per sweep, even when many workers ask concurrently. The
-// tables themselves come from the process-wide db memo, so repeated
-// sweeps and figure runs over the same (tuples, seed, clustering)
-// triples share one generated table.
-type tableCache struct {
-	mu     sync.Mutex
-	tables map[workload]*tableEntry
-}
-
+// tableEntry is one distinct workload's table, cut into the run's shard
+// count, and its predicate selectivity.
 type tableEntry struct {
-	once sync.Once
-	tab  *db.Table
-	sel  float64
+	tab    *db.Table
+	shards []*db.Table
+	sel    float64
+	err    error
 }
 
-func (tc *tableCache) get(w workload) (*db.Table, float64) {
-	tc.mu.Lock()
-	e, ok := tc.tables[w]
-	if !ok {
-		e = &tableEntry{}
-		tc.tables[w] = e
+// resolveTable generates w's table through the process-wide db memo, so
+// repeated sweeps and figure runs share one generated table, and cuts
+// it into n contiguous shards. db.Partition shares the column slices,
+// so a shard costs one Table header.
+func resolveTable(w workload, n int) tableEntry {
+	var e tableEntry
+	if w.Clustered {
+		e.tab = db.GenerateClusteredMemo(w.Tuples, w.Seed, w.NoiseDays)
+	} else {
+		e.tab = db.GenerateMemo(w.Tuples, w.Seed)
 	}
-	tc.mu.Unlock()
-	e.once.Do(func() {
-		if w.Clustered {
-			e.tab = db.GenerateClusteredMemo(w.Tuples, w.Seed, w.NoiseDays)
-		} else {
-			e.tab = db.GenerateMemo(w.Tuples, w.Seed)
-		}
-		if w.Kind == query.Q1Agg {
-			e.sel = db.SelectivityQ1(e.tab, w.Q1)
-		} else {
-			e.sel = db.Selectivity(e.tab, w.Q)
-		}
-	})
-	return e.tab, e.sel
+	if w.Kind == query.Q1Agg {
+		e.sel = db.SelectivityQ1(e.tab, w.Q1)
+	} else {
+		e.sel = db.Selectivity(e.tab, w.Q)
+	}
+	e.shards, e.err = db.Partition(e.tab, n)
+	return e
+}
+
+// cellRun is one cell resolved for execution.
+type cellRun struct {
+	plan   query.Plan  // the plan its shards run: an auto cell's routed choice
+	shards []*db.Table // nil when the cell failed to resolve
+	left   int         // shard tasks not yet landed
+	err    error
+}
+
+// partial is one (cell, shard) task's outcome.
+type partial struct {
+	res      Result
+	counters *obs.Counters
+	err      error
 }
 
 // RunCells executes an explicit cell list through the worker pool. The
@@ -227,111 +231,201 @@ func (tc *tableCache) get(w workload) (*db.Table, float64) {
 // machine and energy models. Every cell runs even if another fails, and
 // the returned error is the first failure in cell order (deterministic
 // regardless of worker count); the ResultSet is nil on error.
+//
+// Cells are resolved serially first: each one's table, selectivity,
+// max(1, CellShards) shards and, for an auto cell, routing, decided on
+// the whole table so that it depends on neither the shard nor the
+// worker count. The workers then run (cell, shard) tasks: a simulation
+// on the worker's own machine or, in estimate mode, a cost-model
+// price. A cell is merged and reported to OnCell when its last task
+// lands. A cell that fails to resolve runs no tasks and is reported
+// with a zero Result.
 func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Exec == ExecEstimate {
-		return runCellsEstimate(cfg, cells, opt)
-	}
-	if opt.CellShards > 1 {
-		return runCellsSharded(cfg, cells, opt)
-	}
-	rs := &ResultSet{Cells: make([]CellResult, len(cells))}
-	errs := make([]error, len(cells))
-	cache := &tableCache{tables: map[workload]*tableEntry{}}
-
-	// Size the default machine image to the sweep's largest workload
-	// instead of the full 64 MiB default.
-	maxTuples := 0
-	for _, c := range cells {
-		maxTuples = max(maxTuples, c.Tuples)
-	}
-	cfg = cfg.sizedFor(maxTuples)
-
-	// The planner parameters for auto-arch cells, derived once from the
-	// sweep's machine and energy models. Resolution happens per cell
-	// inside the workers, but a decision is a pure function of (table,
-	// plan), so the outcome is independent of worker scheduling.
+	n := max(1, opt.CellShards)
 	params := cost.ParamsFor(cfg.machineConfig(), cfg.energyModel())
+	rs := &ResultSet{Cells: make([]CellResult, len(cells))}
+	runs := make([]cellRun, len(cells))
+	tables := map[workload]tableEntry{}
+	tasks, maxRows := 0, 0
+	for i, cell := range cells {
+		w := cell.workload()
+		t, ok := tables[w]
+		if !ok {
+			t = resolveTable(w, n)
+			tables[w] = t
+		}
+		cr, r := &rs.Cells[i], &runs[i]
+		*cr = CellResult{Index: i, Cell: cell, Selectivity: t.sel, Mode: opt.Exec}
+		if opt.CellShards > 1 {
+			cr.Shards = n
+		}
+		r.plan, r.err = cell.Plan, t.err
+		if r.err == nil && cell.Plan.Auto() {
+			var d *cost.Decision
+			if d, r.err = cost.Pick(params, t.tab, cell.Plan.Candidates(cell.Tuples)); r.err == nil {
+				r.plan, cr.Routing = d.Chosen, d
+			}
+		}
+		if r.err != nil {
+			continue
+		}
+		r.shards, r.left = t.shards, n
+		tasks += n
+		for _, s := range t.shards {
+			maxRows = max(maxRows, s.N)
+		}
+	}
+	// Machines only ever see shard-sized tables, so the default image
+	// sizes to the largest shard instead of the full 64 MiB default.
+	cfg = cfg.sizedFor(maxRows)
+
+	parts := make([]partial, len(cells)*n)
+	var mu sync.Mutex
+	completed := 0
+	// finish merges cell c, or names its first failure, and reports it;
+	// callers hold mu.
+	finish := func(c int) {
+		cr, r := &rs.Cells[c], &runs[c]
+		for s, p := range parts[c*n : (c+1)*n] {
+			if r.err == nil && p.err != nil {
+				r.err = p.err
+				if n > 1 {
+					r.err = fmt.Errorf("shard %d: %w", s, p.err)
+				}
+			}
+		}
+		if r.err != nil {
+			r.err = fmt.Errorf("sweep: cell %d (%s): %w", c, cr.Cell, r.err)
+		} else {
+			cr.Result, cr.Counters = merge(parts[c*n : (c+1)*n])
+		}
+		completed++
+		if opt.OnCell != nil {
+			opt.OnCell(completed, len(cells), *cr)
+		}
+	}
 
 	indices := make(chan int)
 	var done sync.WaitGroup
-	var progressMu sync.Mutex
-	completed := 0
-	for w := 0; w < opt.EffectiveWorkers(); w++ {
+	for range min(opt.EffectiveWorkers(), tasks) {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			// Each worker builds one machine lazily and Reset-reuses it
-			// across its cells: a reset machine is bit-identical to a
-			// fresh one (machine.Reset), so reuse changes wall-clock
-			// only — the worker-count determinism tests double as reuse
-			// determinism tests.
 			var m *machine.Machine
-			for i := range indices {
-				cell := cells[i]
-				tab, sel := cache.get(cell.workload())
-				cr := CellResult{Index: i, Cell: cell, Selectivity: sel}
-				var res Result
-				var err error
-				plan := cell.Plan
-				if plan.Auto() {
-					// Resolve the auto cell: substitute each registered
-					// backend into the cell's shape and run the
-					// predicted-fastest.
-					var d *cost.Decision
-					d, err = cost.Pick(params, tab, plan.Candidates(cell.Tuples))
-					if err == nil {
-						plan = d.Chosen
-						cr.Routing = d
-					}
-				}
-				if err == nil {
-					if m == nil {
-						m, err = machine.New(cfg.machineConfig())
-					} else {
-						m.Reset()
-					}
-				}
-				if err == nil {
-					res, err = cfg.runOn(m, tab, plan)
-				}
-				if err == nil && opt.Counters {
-					// Snapshot before the next cell's Reset clears the
-					// registry. A snapshot is a pure function of the
-					// single-threaded cell run, so worker scheduling
-					// cannot leak into it.
-					cr.Counters = obs.Capture(m.Registry, m.Engine)
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("sweep: cell %d (%s): %w", i, cell, err)
+			for ti := range indices {
+				c := ti / n
+				r, p := &runs[c], &parts[ti]
+				if opt.Exec == ExecEstimate {
+					p.res, p.err = estimate(params, rs.Cells[c].Routing, r.plan, r.shards[ti%n])
 				} else {
-					cr.Result = res
-					rs.Cells[i] = cr
+					p.res, p.counters, p.err = cfg.simulate(&m, r.shards[ti%n], r.plan, opt.Counters)
 				}
-				if opt.OnCell != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnCell(completed, len(cells), cr)
-					progressMu.Unlock()
+				mu.Lock()
+				if r.left--; r.left == 0 {
+					finish(c)
 				}
+				mu.Unlock()
 			}
 		}()
 	}
-	for i := range cells {
-		indices <- i
+	for c := range runs {
+		if runs[c].err != nil {
+			mu.Lock()
+			finish(c)
+			mu.Unlock()
+			continue
+		}
+		for s := range n {
+			indices <- c*n + s
+		}
 	}
 	close(indices)
 	done.Wait()
 
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, r := range runs {
+		if r.err != nil {
+			return nil, r.err
 		}
 	}
 	rs.computeSpeedups()
 	return rs, nil
+}
+
+// simulate runs p over tab on the worker's machine *m, building it on
+// first use and Reset-reusing it after: a reset machine is
+// bit-identical to a fresh one (machine.Reset), so reuse changes
+// wall-clock only. With counters set it snapshots the machine's
+// registry before the next task's Reset clears it.
+func (c Config) simulate(m **machine.Machine, tab *db.Table, p query.Plan, counters bool) (Result, *obs.Counters, error) {
+	if *m == nil {
+		built, err := machine.New(*c.Machine)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		*m = built
+	} else {
+		(*m).Reset()
+	}
+	res, err := c.runOn(*m, tab, p)
+	if err != nil || !counters {
+		return res, nil, err
+	}
+	return res, obs.Capture((*m).Registry, (*m).Engine), nil
+}
+
+// estimate prices p over tab with the analytic cost model; an auto
+// cell reuses its routing decision's estimate of the chosen plan. The
+// model predicts DRAM read traffic and link energy only, so those are
+// the populated energy components: DRAMPJ() and TotalPJ() then
+// reproduce the model's own figures in the shared export columns.
+func estimate(pr cost.Params, d *cost.Decision, p query.Plan, tab *db.Table) (Result, error) {
+	var est cost.Estimate
+	if d != nil {
+		est = d.Estimates[d.ChosenIndex]
+	} else {
+		var err error
+		if est, err = cost.EstimatePlan(pr, p, cost.ProfileFor(tab, p)); err != nil {
+			return Result{}, err
+		}
+	}
+	dram := est.DRAMBytes * 8 * pr.DRAMReadBitPJ
+	return Result{
+		Plan:   p,
+		Cycles: uint64(math.Round(est.Cycles)),
+		Energy: energy.Breakdown{ReadPJ: dram, LinkPJ: est.EnergyPJ - dram},
+	}, nil
+}
+
+// merge folds a cell's shard outcomes, in shard order, into its result:
+// cycles are the critical path (the slowest shard, since the shards
+// would run concurrently on real hardware), and energy, answers,
+// squashes and counters are summed. The first shard's Result and
+// counters accumulate the rest, so a one-shard cell's outcome is
+// returned as it ran.
+func merge(parts []partial) (Result, *obs.Counters) {
+	res, ctr := parts[0].res, parts[0].counters
+	for _, p := range parts[1:] {
+		res.Cycles = max(res.Cycles, p.res.Cycles)
+		e := &res.Energy
+		e.ActivationPJ += p.res.Energy.ActivationPJ
+		e.ReadPJ += p.res.Energy.ReadPJ
+		e.WritePJ += p.res.Energy.WritePJ
+		e.RefreshPJ += p.res.Energy.RefreshPJ
+		e.BackgroundPJ += p.res.Energy.BackgroundPJ
+		e.LinkPJ += p.res.Energy.LinkPJ
+		e.LogicPJ += p.res.Energy.LogicPJ
+		res.Checked += p.res.Checked
+		res.Squashed += p.res.Squashed
+		res.SquashedDRAMBytes += p.res.SquashedDRAMBytes
+		for g := range res.Groups {
+			res.Groups[g].Add(p.res.Groups[g])
+		}
+		ctr.Add(p.counters)
+	}
+	return res, ctr
 }
 
 // computeSpeedups fills the per-cell speedup against each workload

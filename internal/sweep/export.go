@@ -17,8 +17,8 @@ import (
 
 // CSVHeader is the column layout of WriteCSV, one column per cell axis
 // and per reported metric. Result sets containing auto-arch cells
-// append RoutingCSVHeader's routing-decision columns, so fixed-arch
-// exports stay byte-identical to their pre-planner form.
+// append RoutingCSVHeader's routing-decision columns; fixed-arch
+// exports carry none.
 var CSVHeader = []string{
 	"index", "arch", "strategy", "opsize_b", "unroll", "fused", "aggregate",
 	"tuples", "seed", "clustered", "noise_days",
@@ -45,8 +45,7 @@ func (rs *ResultSet) HasRouting() bool {
 }
 
 // HasModes reports whether any cell ran in a non-default execution
-// mode (estimate): only then does the CSV carry an exec_mode column, so
-// exact exports are byte-identical to their pre-mode form.
+// mode (estimate): only then does the CSV carry an exec_mode column.
 func (rs *ResultSet) HasModes() bool {
 	for i := range rs.Cells {
 		if rs.Cells[i].Mode != ExecExact {
@@ -57,8 +56,8 @@ func (rs *ResultSet) HasModes() bool {
 }
 
 // HasSharding reports whether any cell ran as a parallel shard
-// simulation: only then does the CSV carry a shards column, so
-// whole-table exports are byte-identical to their pre-sharding form.
+// simulation (Options.CellShards > 1): only then does the CSV carry a
+// shards column.
 func (rs *ResultSet) HasSharding() bool {
 	for i := range rs.Cells {
 		if rs.Cells[i].Shards > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 )
 
@@ -192,5 +193,34 @@ func TestShardedCounters(t *testing.T) {
 	if v, ok := c.Counters.Get("hipe.squashed"); !ok || v != c.Result.Squashed {
 		t.Errorf("merged counter hipe.squashed = %d (ok=%v), Result.Squashed = %d",
 			v, ok, c.Result.Squashed)
+	}
+}
+
+// TestMergeFoldsIntoFirstShard pins the merge contract directly: a
+// one-shard cell's Result and counters are its shard's own, not
+// copies, and several shards fold into the first in shard order —
+// cycles as the critical path, totals, groups and counters summed.
+func TestMergeFoldsIntoFirstShard(t *testing.T) {
+	first := partial{
+		res:      Result{Cycles: 7, Checked: 1, Groups: []db.GroupAgg{{Count: 1}}},
+		counters: obs.NewCounters(map[string]uint64{"a": 1}),
+	}
+	res, ctr := merge([]partial{first})
+	if &res.Groups[0] != &first.res.Groups[0] || ctr != first.counters {
+		t.Fatal("one-shard merge copied its shard's outcome")
+	}
+	second := partial{
+		res:      Result{Cycles: 9, Checked: 2, Squashed: 5, Groups: []db.GroupAgg{{Count: 3}}},
+		counters: obs.NewCounters(map[string]uint64{"a": 2, "b": 4}),
+	}
+	res, ctr = merge([]partial{first, second})
+	if res.Cycles != 9 || res.Checked != 3 || res.Squashed != 5 || res.Groups[0].Count != 4 {
+		t.Fatalf("merged result %+v", res)
+	}
+	if a, _ := ctr.Get("a"); a != 3 {
+		t.Fatalf("merged counter a = %d, want 3", a)
+	}
+	if b, _ := ctr.Get("b"); b != 4 {
+		t.Fatalf("merged counter b = %d, want 4", b)
 	}
 }

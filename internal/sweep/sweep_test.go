@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -263,27 +264,52 @@ func TestErrorPropagation(t *testing.T) {
 		return Cell{Plan: query.Plan{Arch: query.HIPE, Strategy: query.TupleAtATime,
 			OpSize: 256, Unroll: u, Q: q}, Tuples: 128, Seed: 1}
 	}
+	// Every execution mode keeps the contract: the whole-table path,
+	// shard simulation and estimate mode, where Plan.Validate rejects
+	// the same cells before pricing them.
+	modes := map[string]Options{
+		"whole-table": {},
+		"sharded":     {CellShards: 2},
+		"estimate":    {Exec: ExecEstimate},
+	}
+	for name, opt := range modes {
+		for _, workers := range []int{1, 8} {
+			checkCellError(t, fmt.Sprintf("%s workers=%d", name, workers),
+				[]Cell{good, bad(1), bad(2)}, opt, workers)
+		}
+	}
+	// A cell whose table cannot be cut into CellShards shards fails on
+	// its own: the other cell still runs and both report progress.
+	big := good
+	big.Tuples = 4096
 	for _, workers := range []int{1, 8} {
-		fired := 0
-		rs, err := RunCells(small(), []Cell{good, bad(1), bad(2)}, Options{
-			Workers: workers,
-			OnCell:  func(done, total int, r CellResult) { fired++ },
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: failing cell did not propagate", workers)
-		}
-		if rs != nil {
-			t.Fatalf("workers=%d: non-nil result set on error", workers)
-		}
-		// The reported failure is the first in cell order, whatever
-		// order the workers hit them in.
-		if !strings.Contains(err.Error(), "cell 1") {
-			t.Fatalf("workers=%d: error %q does not name cell 1", workers, err)
-		}
-		// Progress still reaches the total: failed cells count too.
-		if fired != 3 {
-			t.Fatalf("workers=%d: OnCell fired %d times, want 3", workers, fired)
-		}
+		checkCellError(t, fmt.Sprintf("uncuttable workers=%d", workers),
+			[]Cell{big, good}, Options{CellShards: 4}, workers)
+	}
+}
+
+// checkCellError runs cells whose first failure is cell 1 and checks
+// the error contract: the first failure in cell order is returned with
+// no result set, and OnCell fires once per cell, failed cells included.
+func checkCellError(t *testing.T, name string, cells []Cell, opt Options, workers int) {
+	t.Helper()
+	fired := 0
+	opt.Workers = workers
+	opt.OnCell = func(done, total int, r CellResult) { fired++ }
+	rs, err := RunCells(small(), cells, opt)
+	if err == nil {
+		t.Fatalf("%s: failing cell did not propagate", name)
+	}
+	if rs != nil {
+		t.Fatalf("%s: non-nil result set on error", name)
+	}
+	// The reported failure is the first in cell order, whatever order
+	// the workers hit them in.
+	if !strings.Contains(err.Error(), "cell 1") {
+		t.Fatalf("%s: error %q does not name cell 1", name, err)
+	}
+	if fired != len(cells) {
+		t.Fatalf("%s: OnCell fired %d times, want %d", name, fired, len(cells))
 	}
 }
 
