@@ -5,9 +5,11 @@
 // data-flow dependencies inside the memory.
 //
 // The same machinery, with predication disabled, is the balanced HIVE
-// design the paper evaluates as prior work (DATE 2016, resized to 256 B
-// operands and 36 registers); the internal/hive package instantiates that
-// mode.
+// design the paper evaluates as prior work (Alves et al., "Large vector
+// extensions inside the HMC", DATE 2016, resized to 256 B operands and
+// 36 registers); DefaultHIVE configures that mode. HIVE has no
+// predication match logic, so control-flow decisions over in-memory
+// data must round-trip through the processor.
 //
 // Mechanism summary (paper §III):
 //
@@ -830,19 +832,3 @@ func (e *Engine) Locked() bool { return e.locked }
 // accumulate through predicated temporaries are only correct under
 // zeroing-mask semantics and check this before compiling.
 func (e *Engine) ZeroingSquash() bool { return e.cfg.ZeroingSquash }
-
-// RegisterData returns a copy of a register's contents (for tests).
-func (e *Engine) RegisterData(i int) []byte {
-	out := make([]byte, isa.RegisterBytes)
-	copy(out, e.regs[i].data[:])
-	return out
-}
-
-// RegisterZero reports a register's zero flag (for tests).
-func (e *Engine) RegisterZero(i int) bool { return e.regs[i].zero }
-
-// RegisterPending reports whether a register is interlocked (for tests).
-func (e *Engine) RegisterPending(i int) bool { return e.regs[i].pending }
-
-// QueueDepth reports buffered instructions (for tests).
-func (e *Engine) QueueDepth() int { return e.queue.Len() }

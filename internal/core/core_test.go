@@ -75,6 +75,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestHIVEConfiguration(t *testing.T) {
+	cfg := DefaultHIVE()
+	if cfg.Target != isa.TargetHIVE {
+		t.Fatal("HIVE default has wrong target")
+	}
+	if cfg.Name != "hive" {
+		t.Fatal("HIVE default has wrong stats scope")
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHIVEEngineExecutes(t *testing.T) {
+	e, eng, image, reg := newEngine(t, DefaultHIVE())
+	for i := 0; i < 64; i++ {
+		isa.SetLane(image, i, int32(i))
+	}
+	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad, Dst: 1, Addr: 0, Size: 256})
+	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU, ALU: isa.CmpGE,
+		Dst: 2, Src1: 1, UseImm: true, Imm: 32})
+	e.Run()
+	if isa.LaneAt(eng.RegisterData(2), 31) != 0 || isa.LaneAt(eng.RegisterData(2), 32) != -1 {
+		t.Fatal("HIVE compare lanes wrong")
+	}
+	if reg.Scope("hive").Get("instructions") != 2 {
+		t.Fatal("instruction count wrong")
+	}
+}
+
 func TestLockUnlockRoundTrip(t *testing.T) {
 	e, eng, _, reg := newEngine(t, DefaultHIPE())
 	var lockAt, unlockAt sim.Cycle
