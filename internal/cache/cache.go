@@ -490,9 +490,6 @@ func (c *Cache) invalidate(la mem.Addr) bool {
 // Contains reports whether the line holding addr is present (for tests).
 func (c *Cache) Contains(addr mem.Addr) bool { return c.lookup(c.lineAddr(addr)) != nil }
 
-// PendingMisses reports the number of outstanding fills (for tests).
-func (c *Cache) PendingMisses() int { return len(c.pending) }
-
 // train feeds the prefetcher and issues resulting prefetches if MSHRs are
 // free (prefetches never stall demand traffic: dropped when full).
 func (c *Cache) train(addr mem.Addr, miss bool) {

@@ -321,30 +321,6 @@ func Reference(t *Table, q Q06) *ReferenceResult {
 	return res
 }
 
-// ColumnMask evaluates a single column's predicate for all tuples —
-// the oracle for column-at-a-time intermediate bitmasks.
-// col selects FieldShipDate, FieldDiscount or FieldQuantity.
-func ColumnMask(t *Table, q Q06, col int) []byte {
-	mask := make([]byte, (t.N+7)/8)
-	for i := 0; i < t.N; i++ {
-		var ok bool
-		switch col {
-		case FieldShipDate:
-			ok = t.ShipDate[i] >= q.ShipLo && t.ShipDate[i] < q.ShipHi
-		case FieldDiscount:
-			ok = t.Discount[i] >= q.DiscLo && t.Discount[i] <= q.DiscHi
-		case FieldQuantity:
-			ok = t.Quantity[i] < q.QtyHi
-		default:
-			panic(fmt.Sprintf("db: column %d has no predicate", col))
-		}
-		if ok {
-			mask[i/8] |= 1 << (i % 8)
-		}
-	}
-	return mask
-}
-
 // Selectivity reports the fraction of tuples matching the full predicate.
 func Selectivity(t *Table, q Q06) float64 {
 	if t.N == 0 {
@@ -491,11 +467,6 @@ func (l NSMLayout) TupleAddr(i int) mem.Addr {
 	return l.Base + mem.Addr(i*TupleBytes)
 }
 
-// FieldAddr returns the address of a field of tuple i.
-func (l NSMLayout) FieldAddr(i, field int) mem.Addr {
-	return l.TupleAddr(i) + mem.Addr(field*4)
-}
-
 // LayoutNSM writes the table into the image as 64-byte tuples, base
 // aligned to the 256 B row buffer so four tuples share one DRAM row
 // (the property behind the paper's HMC-256B result).
@@ -527,11 +498,6 @@ type DSMLayout struct {
 	// ColBase maps field index → base address of its contiguous array.
 	ColBase map[int]mem.Addr
 	Bytes   uint64
-}
-
-// ValueAddr returns the address of tuple i's value in column col.
-func (l DSMLayout) ValueAddr(col, i int) mem.Addr {
-	return l.ColBase[col] + mem.Addr(i*ColumnWidth)
 }
 
 // LayoutDSM writes lineitem columns as contiguous arrays, each aligned

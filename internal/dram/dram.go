@@ -211,9 +211,6 @@ func (h *HMC) Reset() {
 // Vault returns vault i.
 func (h *HMC) Vault(i uint32) *Vault { return h.vaults[i] }
 
-// NumVaults reports the vault count.
-func (h *HMC) NumVaults() uint32 { return uint32(len(h.vaults)) }
-
 // Access routes a row-contained request to its vault. It panics if the
 // request crosses a row boundary: callers must pre-split with
 // Geometry.Split. Access always accepts; queueing delay is modelled by
@@ -322,9 +319,6 @@ func (v *Vault) access(req *mem.Request, loc mem.Location) {
 		v.engine.ScheduleCall(done, req.Done)
 	}
 }
-
-// LatencyStats exposes the vault's observed request latency histogram.
-func (v *Vault) LatencyStats() *stats.Histogram { return &v.latency }
 
 // ID reports the vault index.
 func (v *Vault) ID() uint32 { return v.id }

@@ -270,6 +270,3 @@ func sizeOf(inst *isa.OffloadInst) uint32 {
 // event queue; counters are zeroed by the registry reset the machine
 // performs alongside.
 func (e *Engine) Reset() { e.inFlight = 0 }
-
-// InFlight reports the current window occupancy (for tests).
-func (e *Engine) InFlight() int { return e.inFlight }

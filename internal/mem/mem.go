@@ -91,11 +91,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// RowsPerBank reports the number of rows each bank stores.
-func (g Geometry) RowsPerBank() uint64 {
-	return g.Total / (uint64(g.Vaults) * uint64(g.Banks) * uint64(g.RowBytes))
-}
-
 func log2u32(v uint32) uint { return uint(bits.TrailingZeros32(v)) }
 
 // Decompose maps a physical address to its vault/bank/row/column.

@@ -428,9 +428,6 @@ func (w *Workload) check(got, want []byte) {
 // Checked reports how many engine results were cross-checked at runtime.
 func (w *Workload) Checked() int { return w.checked }
 
-// Mismatches reports runtime cross-check failures (must be zero).
-func (w *Workload) Mismatches() int { return w.mismatches }
-
 // GroupResults returns the per-group aggregates of a verified Q1Agg run,
 // in db.GroupID order (nil for selection plans). Call after Verify: for
 // the engine architectures the values were checked against the
