@@ -288,14 +288,20 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// checkCellError runs cells whose first failure is cell 1 and checks
+// checkCellError runs cells of which only cell 0 succeeds and checks
 // the error contract: the first failure in cell order is returned with
-// no result set, and OnCell fires once per cell, failed cells included.
+// no result set, and OnCell fires once per cell, failed cells included
+// with a zero Result.
 func checkCellError(t *testing.T, name string, cells []Cell, opt Options, workers int) {
 	t.Helper()
 	fired := 0
 	opt.Workers = workers
-	opt.OnCell = func(done, total int, r CellResult) { fired++ }
+	opt.OnCell = func(done, total int, r CellResult) {
+		fired++
+		if ran := r.Result.Cycles > 0; ran != (r.Index == 0) {
+			t.Errorf("%s: cell %d reported %d cycles", name, r.Index, r.Result.Cycles)
+		}
+	}
 	rs, err := RunCells(small(), cells, opt)
 	if err == nil {
 		t.Fatalf("%s: failing cell did not propagate", name)
