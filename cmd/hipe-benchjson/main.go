@@ -11,7 +11,7 @@
 // Usage:
 //
 //	hipe-benchjson -out BENCH_3.json \
-//	    [-figure-benchtime 3x] [-micro-benchtime 10000x] \
+//	    [-figure-benchtime 2s] [-micro-benchtime 10000x] \
 //	    [-baseline old-bench.txt] [-check-allocs] [-skip-figures] \
 //	    [-prev BENCH_7.json] [-max-regress-pct 10] [-min-sweep-speedup 5]
 //
@@ -26,7 +26,9 @@
 // BenchmarkQ1BestCases) allocates more than 1% above its allocs/op in
 // the previous document. Allocations are deterministic but scale with
 // the sweep worker count, so both documents must be measured at the
-// same GOMAXPROCS.
+// same GOMAXPROCS and, for the document to record the same warm-up
+// share, at the same -figure-benchtime; a -prev that differs in either
+// is refused before any bench runs.
 //
 // -prev takes a previously committed BENCH_<n>.json document and, with
 // -max-regress-pct P, exits non-zero if any figure bench present in
@@ -115,8 +117,11 @@ type AdaptiveRouting struct {
 
 // Doc is the emitted document.
 type Doc struct {
-	GoVersion       string           `json:"go_version"`
-	GOMAXPROCS      int              `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// FigureBenchtime is the -figure-benchtime the figure benches ran
+	// at. Documents written before it was recorded carry none.
+	FigureBenchtime string           `json:"figure_benchtime,omitempty"`
 	Figures         []BenchResult    `json:"figure_benches,omitempty"`
 	Scheduler       []BenchResult    `json:"scheduler_benches"`
 	CounterOverhead []Overhead       `json:"counter_overhead,omitempty"`
@@ -215,14 +220,31 @@ func allocGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkFig3") || name == "BenchmarkQ1BestCases"
 }
 
-// allocRegressions lists every gated figure bench of cur that allocates
-// more than allocSlackPct above its allocs/op in prev. Figure benches
-// build one machine per sweep worker, so documents measured at
-// different GOMAXPROCS cannot be compared; that is an error.
-func allocRegressions(cur, prev Doc) ([]string, error) {
+// allocComparable reports why cur's allocs/op cannot be gated against
+// prev's. Figure benches keep one machine and one set of pooled
+// buffers per sweep worker, so documents measured at different
+// GOMAXPROCS cannot be compared. A document recorded at another
+// -figure-benchtime is refused too: a short run leaves a different
+// share of warm-up in allocs/op. A prev that records no benchtime
+// predates the field and is not checked for it.
+func allocComparable(cur, prev Doc) error {
 	if cur.GOMAXPROCS != prev.GOMAXPROCS {
-		return nil, fmt.Errorf("measured at GOMAXPROCS=%d, previous document at %d; allocs/op scale with the sweep worker count, so run with GOMAXPROCS=%d",
+		return fmt.Errorf("measured at GOMAXPROCS=%d, previous document at %d; allocs/op scale with the sweep worker count, so run with GOMAXPROCS=%d",
 			cur.GOMAXPROCS, prev.GOMAXPROCS, prev.GOMAXPROCS)
+	}
+	if prev.FigureBenchtime != "" && cur.FigureBenchtime != prev.FigureBenchtime {
+		return fmt.Errorf("figure benches at -figure-benchtime %s, previous document at %s; run with -figure-benchtime %s",
+			cur.FigureBenchtime, prev.FigureBenchtime, prev.FigureBenchtime)
+	}
+	return nil
+}
+
+// allocRegressions lists every gated figure bench of cur that allocates
+// more than allocSlackPct above its allocs/op in prev; documents that
+// allocComparable refuses are an error.
+func allocRegressions(cur, prev Doc) ([]string, error) {
+	if err := allocComparable(cur, prev); err != nil {
+		return nil, err
 	}
 	prevByName := map[string]BenchResult{}
 	for _, b := range prev.Figures {
@@ -304,7 +326,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hipe-benchjson: ")
 	out := flag.String("out", "BENCH.json", "output JSON path (- for stdout)")
-	figureBenchtime := flag.String("figure-benchtime", "3x", "benchtime for the Figure 3 benches")
+	figureBenchtime := flag.String("figure-benchtime", "2s", "benchtime for the Figure 3 benches")
 	microBenchtime := flag.String("micro-benchtime", "200ms", "benchtime for the scheduler microbenches")
 	baselinePath := flag.String("baseline", "", "raw `go test -bench` output captured before the change; recorded with speedups")
 	checkAllocs := flag.Bool("check-allocs", false, "exit 1 if a scheduler microbench reports allocs/op > 0, or (with -prev) a Figure 3/Q01 bench allocates more than 1% above it")
@@ -344,6 +366,9 @@ func main() {
 	}
 
 	doc := Doc{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	if !*skipFigures {
+		doc.FigureBenchtime = *figureBenchtime
+	}
 	var prev *Doc
 	if *prevPath != "" {
 		raw, err := os.ReadFile(*prevPath)
@@ -353,6 +378,11 @@ func main() {
 		prev = new(Doc)
 		if err := json.Unmarshal(raw, prev); err != nil {
 			log.Fatalf("parse %s: %v", *prevPath, err)
+		}
+		if *checkAllocs {
+			if err := allocComparable(doc, *prev); err != nil {
+				fail("-check-allocs -prev %s: %v", *prevPath, err)
+			}
 		}
 	}
 

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -27,6 +31,18 @@ func runBinary(t *testing.T, args ...string) (int, string) {
 // TestFlagValidation: malformed invocations die with a usage message
 // and exit status 2, before any `go test -bench` child runs.
 func TestFlagValidation(t *testing.T) {
+	// prevAt writes a previous document measured at GOMAXPROCS procs
+	// with figure benches at benchtime. The child inherits this
+	// process's GOMAXPROCS.
+	prevAt := func(procs int, benchtime string) string {
+		path := filepath.Join(t.TempDir(), "prev.json")
+		doc := fmt.Sprintf(`{"gomaxprocs": %d, "figure_benchtime": %q, "scheduler_benches": []}`, procs, benchtime)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		name string
 		args []string
@@ -40,6 +56,10 @@ func TestFlagValidation(t *testing.T) {
 		{"negative sweep gate", []string{"-min-sweep-speedup", "-1"}, "must not be negative"},
 		{"sweep gate without figures", []string{"-min-sweep-speedup", "5", "-skip-figures"}, "drop -skip-figures"},
 		{"alloc gate without figures", []string{"-check-allocs", "-prev", "BENCH_14.json", "-skip-figures"}, "drop -skip-figures"},
+		{"alloc gate at another benchtime", []string{"-check-allocs", "-prev", prevAt(procs, "2s"), "-figure-benchtime", "3x"},
+			"previous document at 2s"},
+		{"alloc gate at another GOMAXPROCS", []string{"-check-allocs", "-prev", prevAt(procs+1, "2s")},
+			fmt.Sprintf("previous document at %d", procs+1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,7 +129,9 @@ func TestSweepGridPairing(t *testing.T) {
 // TestAllocRegressions covers the -check-allocs -prev figure gate
 // without shelling out: only the Figure 3 and Q01 best-case benches are
 // gated, each may exceed its previous allocs/op by at most 1%, and
-// documents measured at different GOMAXPROCS are refused.
+// documents measured at different GOMAXPROCS or figure benchtimes are
+// refused; a previous document that records no benchtime is not
+// checked for it.
 func TestAllocRegressions(t *testing.T) {
 	prev := Doc{GOMAXPROCS: 1, Figures: []BenchResult{
 		{Name: "BenchmarkFig3aTupleAtATime", AllocsPerOp: 1000},
@@ -132,6 +154,15 @@ func TestAllocRegressions(t *testing.T) {
 		!strings.HasPrefix(got[1], "BenchmarkQ1BestCases ") {
 		t.Fatalf("regressions %q, want Fig3b and Q1BestCases", got)
 	}
+	cur.FigureBenchtime = "3x"
+	if _, err := allocRegressions(cur, prev); err != nil {
+		t.Fatalf("previous document without a benchtime refused: %v", err)
+	}
+	prev.FigureBenchtime = "2s"
+	if _, err := allocRegressions(cur, prev); err == nil || !strings.Contains(err.Error(), "-figure-benchtime 2s") {
+		t.Fatalf("benchtime mismatch not refused: %v", err)
+	}
+	cur.FigureBenchtime = "2s"
 	cur.GOMAXPROCS = 4
 	if _, err := allocRegressions(cur, prev); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=1") {
 		t.Fatalf("GOMAXPROCS mismatch not refused: %v", err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	hipe "github.com/hipe-sim/hipe"
@@ -45,30 +46,54 @@ type goldenRun struct {
 // panels, then the Q01 best plan of each backend on the uniform and
 // the date-clustered table. Q01 results come from the one-shot
 // hipe.Run; their counters come from the same cell run through the
-// sweep engine, whose Result must agree with hipe.Run's exactly.
-func goldenRuns(t *testing.T) []goldenRun {
+// sweep engine, whose Result must agree with hipe.Run's exactly. With
+// reverse set, the Q01 runs go first and the panels run last to first;
+// the returned runs are in the same order either way.
+func goldenRuns(t *testing.T, reverse bool) []goldenRun {
 	t.Helper()
 	cfg := hipe.Default()
 	cfg.Tuples, cfg.Seed = goldenFigureTuples, goldenSeed
-	var runs []goldenRun
+	var steps []func() []goldenRun
 	for _, name := range hipe.Figures() {
-		cells, err := hipe.FigureCells(cfg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := hipe.SweepCells(cfg, cells, hipe.SweepOptions{Counters: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range rs.Cells {
-			runs = append(runs, goldenRun{
-				Run:      fmt.Sprintf("fig%s %s", name, c.Cell),
-				Result:   c.Result,
-				Counters: c.Counters,
-			})
-		}
+		steps = append(steps, func() []goldenRun { return goldenPanel(t, cfg, name) })
 	}
+	steps = append(steps, func() []goldenRun { return goldenQ01(t, reverse) })
+	parts := make([][]goldenRun, len(steps))
+	for k := range steps {
+		if reverse {
+			k = len(steps) - 1 - k
+		}
+		parts[k] = steps[k]()
+	}
+	return slices.Concat(parts...)
+}
 
+// goldenPanel runs one figure panel's cells with counters.
+func goldenPanel(t *testing.T, cfg hipe.Config, name string) []goldenRun {
+	t.Helper()
+	cells, err := hipe.FigureCells(cfg, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := hipe.SweepCells(cfg, cells, hipe.SweepOptions{Counters: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []goldenRun
+	for _, c := range rs.Cells {
+		runs = append(runs, goldenRun{
+			Run:      fmt.Sprintf("fig%s %s", name, c.Cell),
+			Result:   c.Result,
+			Counters: c.Counters,
+		})
+	}
+	return runs
+}
+
+// goldenQ01 runs the Q01 best plans through the sweep engine and
+// hipe.Run; with reverse set, the hipe.Run calls go last to first.
+func goldenQ01(t *testing.T, reverse bool) []goldenRun {
+	t.Helper()
 	qcfg := hipe.Default()
 	qcfg.Tuples, qcfg.Seed = goldenQ01Tuples, goldenSeed
 	pred := hipe.DefaultQ01()
@@ -90,7 +115,12 @@ func goldenRuns(t *testing.T) []goldenRun {
 		false: hipe.Generate(goldenQ01Tuples, goldenSeed),
 		true:  hipe.GenerateClustered(goldenQ01Tuples, goldenSeed, goldenNoiseDays),
 	}
-	for _, c := range rs.Cells {
+	runs := make([]goldenRun, len(rs.Cells))
+	for k := range rs.Cells {
+		if reverse {
+			k = len(rs.Cells) - 1 - k
+		}
+		c := rs.Cells[k]
 		r, err := hipe.Run(qcfg, tabs[c.Cell.Clustered], c.Cell.Plan)
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +128,7 @@ func goldenRuns(t *testing.T) []goldenRun {
 		if !reflect.DeepEqual(r, c.Result) {
 			t.Errorf("%s: hipe.Run result differs from the sweep engine's:\n run   %+v\n sweep %+v", c.Cell, r, c.Result)
 		}
-		runs = append(runs, goldenRun{Run: "q01 " + c.Cell.String(), Result: r, Counters: c.Counters})
+		runs[k] = goldenRun{Run: "q01 " + c.Cell.String(), Result: r, Counters: c.Counters}
 	}
 	return runs
 }
@@ -127,16 +157,42 @@ func TestCounterGolden(t *testing.T) {
 		t.Skip("simulates every figure cell")
 	}
 	path := filepath.Join("testdata", "counters_golden.json")
-	runs := goldenRuns(t)
-	got, err := encodeGolden(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := goldenRuns(t, false)
 	if *update {
+		got, err := encodeGolden(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
+	}
+	checkGolden(t, path, runs)
+}
+
+// TestCounterGoldenOnReusedMachines runs the pinned set twice in one
+// process, the second time in reverse order, so that figure and Q01
+// runs draw machines that other configurations' runs left in the
+// machine pool in another order. Both passes must equal the golden.
+func TestCounterGoldenOnReusedMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates every figure cell twice")
+	}
+	path := filepath.Join("testdata", "counters_golden.json")
+	for _, reverse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reverse=%v", reverse), func(t *testing.T) {
+			checkGolden(t, path, goldenRuns(t, reverse))
+		})
+	}
+}
+
+// checkGolden compares runs with the golden file at path.
+func checkGolden(t *testing.T, path string, runs []goldenRun) {
+	t.Helper()
+	got, err := encodeGolden(runs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {

@@ -143,7 +143,8 @@ type Cache struct {
 	engine *sim.Engine
 	next   mem.Port
 
-	sets     [][]line
+	lines    []line   // every set's ways, set-major
+	sets     [][]line // one Ways-long window of lines per set
 	setMask  uint64
 	lineMask uint64
 	lruClock uint64
@@ -180,17 +181,19 @@ func New(engine *sim.Engine, cfg Config, next mem.Port, reg *stats.Registry) (*C
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / uint64(cfg.LineBytes) / uint64(cfg.Ways)
+	ways := int(cfg.Ways)
 	c := &Cache{
 		cfg:      cfg,
 		engine:   engine,
 		next:     next,
+		lines:    make([]line, int(nsets)*ways),
 		sets:     make([][]line, nsets),
 		setMask:  nsets - 1,
 		lineMask: ^uint64(cfg.LineBytes - 1),
 		pending:  make(map[mem.Addr]*mshr),
 	}
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = c.lines[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	switch cfg.Prefetch {
 	case PrefetchStride:
@@ -223,12 +226,7 @@ func (c *Cache) SetChildren(children ...*Cache) { c.children = children }
 // MSHRs and writeback ops keep their capacity; any that were in flight
 // are abandoned with the engine's event queue.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.lruClock = 0
 	for la, m := range c.pending {
 		m.waiters = m.waiters[:0]

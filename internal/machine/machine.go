@@ -3,9 +3,11 @@
 // SerDes links, the 32-vault HMC DRAM, and the three offload engines
 // (HMC baseline, HIVE, HIPE) sharing the logic layer.
 //
-// Every experiment in the reproduction builds a Machine, lays the
+// Every experiment in the reproduction draws a Machine (Get), lays the
 // database into its physical image, generates a µop stream with the query
-// code generators, and runs the core to completion.
+// code generators, runs the core to completion, and returns the machine
+// (Put). A returned machine is Reset, so every run's results are
+// bit-identical to a freshly built machine's.
 package machine
 
 import (
@@ -75,6 +77,8 @@ type Machine struct {
 
 	// UMem is the uncacheable CPU path to DRAM (through the links).
 	UMem mem.Port
+
+	cfg Config // what New built, the key Put files the machine under
 }
 
 // offloadMux routes offload instructions to the engine their target
@@ -103,7 +107,8 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 // refuses: the HIVE and HIPE sequencers accept every instruction.
 func (m *offloadMux) RepeatRefusals(n uint64) { m.hmc.RepeatRefusals(n) }
 
-// New builds a machine.
+// New builds a machine. Callers outside this package draw machines
+// with Get instead, so that finished machines are reused.
 func New(cfg Config) (*Machine, error) {
 	if cfg.ImageBytes == 0 {
 		return nil, fmt.Errorf("machine: zero image size")
@@ -157,6 +162,7 @@ func New(cfg Config) (*Machine, error) {
 		HIVE:     hiveEng,
 		HIPE:     hipeEng,
 		UMem:     umem,
+		cfg:      cfg,
 	}, nil
 }
 
@@ -173,9 +179,9 @@ func (m *Machine) Run(stream cpu.Stream) sim.Cycle {
 // counters at zero — while keeping every allocation (event queue
 // capacity, pooled requests, cache arrays, the image itself). A reset
 // machine produces bit-identical results to a freshly constructed one,
-// which is what lets sweep cells and serving shard replays reuse
-// machines instead of rebuilding the world per run (verified by
-// TestResetMatchesFreshMachine and the worker-count determinism tests).
+// which is what lets Put hand used machines to later runs instead of
+// rebuilding the world per run (verified by TestResetMatchesFreshMachine,
+// the counter goldens and the worker-count determinism tests).
 func (m *Machine) Reset() {
 	// The engine resets first: dropping every pending event is what
 	// makes it safe for the components to reclaim their in-flight state.

@@ -1,44 +1,82 @@
-// A free list of reusable machines. Building a machine allocates its
+// The process-wide source of machines. Building a machine allocates its
 // whole world (memory image, caches, vault engines); Reset restores a
 // used machine to a state bit-identical to a freshly built one
-// (machine_test.go pins this), so pooling changes wall-clock and
-// allocation cost only — never simulated results. The serving cluster
-// and the sweep engine's parallel shard path both draw per-task
-// machines from a Pool instead of rebuilding the world per task.
+// (machine_test.go and the counter goldens pin this), so drawing a
+// recycled machine changes wall-clock and allocation cost only — never
+// simulated results. One-shot runs, sweep workers and serving shard
+// replays all draw machines with Get and return them with Put.
 package machine
 
-import "sync"
+import (
+	"runtime"
+	"slices"
+	"sync"
+)
 
-// Pool recycles machines of one configuration. The zero value is not
-// usable; build pools with NewPool. Safe for concurrent Get/Put.
-type Pool struct {
+// keptConfigs bounds how many distinct configurations keep idle
+// machines: the most recently used ones. Each keeps at most GOMAXPROCS
+// idle machines, enough for one per worker of a parallel sweep.
+const keptConfigs = 4
+
+// idleSet holds the idle machines of one configuration.
+type idleSet struct {
 	cfg  Config
-	mu   sync.Mutex
 	free []*Machine
 }
 
-// NewPool returns an empty pool building machines from cfg on demand.
-func NewPool(cfg Config) *Pool { return &Pool{cfg: cfg} }
-
-// Get draws a pooled (already Reset) machine, or builds one.
-func (p *Pool) Get() (*Machine, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return m, nil
-	}
-	p.mu.Unlock()
-	return New(p.cfg)
+var idle struct {
+	mu   sync.Mutex
+	sets []idleSet // most recently used first
 }
 
-// Put resets a machine and returns it to the free list. Reset is safe
-// even after a run abandoned mid-flight, so failed tasks keep the pool
-// warm.
-func (p *Pool) Put(m *Machine) {
+// Get returns an idle machine of configuration cfg, or builds one. The
+// machine is in its post-New state. Safe for concurrent use.
+func Get(cfg Config) (*Machine, error) {
+	idle.mu.Lock()
+	if s := touch(cfg); s != nil {
+		if n := len(s.free); n > 0 {
+			m := s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+			idle.mu.Unlock()
+			return m, nil
+		}
+	}
+	idle.mu.Unlock()
+	return New(cfg)
+}
+
+// Put resets m and keeps it for a later Get of its configuration. Reset
+// is safe even after a run abandoned mid-flight, so failed runs return
+// their machines too. The caller must not use m afterwards.
+func Put(m *Machine) {
 	m.Reset()
-	p.mu.Lock()
-	p.free = append(p.free, m)
-	p.mu.Unlock()
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	s := touch(m.cfg)
+	if s == nil {
+		idle.sets = slices.Insert(idle.sets, 0, idleSet{cfg: m.cfg})
+		if len(idle.sets) > keptConfigs {
+			idle.sets[keptConfigs] = idleSet{} // the least recently used set's machines go to the GC
+			idle.sets = idle.sets[:keptConfigs]
+		}
+		s = &idle.sets[0]
+	}
+	if len(s.free) < runtime.GOMAXPROCS(0) {
+		s.free = append(s.free, m)
+	}
+}
+
+// touch moves cfg's idle set to the front and returns it, or returns
+// nil when cfg keeps no idle set. Callers hold idle.mu.
+func touch(cfg Config) *idleSet {
+	for i := range idle.sets {
+		if idle.sets[i].cfg == cfg {
+			s := idle.sets[i]
+			copy(idle.sets[1:i+1], idle.sets[:i])
+			idle.sets[0] = s
+			return &idle.sets[0]
+		}
+	}
+	return nil
 }

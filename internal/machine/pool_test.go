@@ -1,32 +1,94 @@
 package machine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
+
+// smallConfig is the Table I machine with an image of mib MiB, a
+// configuration no other test in this package draws.
+func smallConfig(mib uint64) Config {
+	cfg := Default()
+	cfg.ImageBytes = mib << 20
+	return cfg
+}
 
 func TestPoolRecyclesMachines(t *testing.T) {
-	p := NewPool(Default())
-	m1, err := p.Get()
+	cfg := smallConfig(3)
+	m1, err := Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put(m1)
-	m2, err := p.Get()
+	Put(m1)
+	m2, err := Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
-		t.Error("pool built a new machine instead of recycling the freed one")
+		t.Error("Get built a new machine instead of recycling the returned one")
 	}
-	// The pool is now empty: a second Get must build fresh.
-	m3, err := p.Get()
+	// No idle machine is left: a second Get must build fresh.
+	m3, err := Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m3 == m2 {
-		t.Error("pool handed out the same machine twice concurrently")
+		t.Error("Get handed out the same machine twice concurrently")
 	}
-	p.Put(m2)
-	p.Put(m3)
-	if got := len(p.free); got != 2 {
-		t.Errorf("free list holds %d machines, want 2", got)
+	Put(m2)
+	Put(m3)
+	if got, want := len(idleFor(cfg)), min(2, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("%d idle machines, want %d", got, want)
+	}
+	// A machine of another configuration is never handed out for cfg.
+	other, err := Get(smallConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == m2 || other == m3 || other.cfg != smallConfig(2) {
+		t.Error("Get returned a machine of the wrong configuration")
+	}
+	Put(other)
+}
+
+func TestPoolKeepsRecentConfigs(t *testing.T) {
+	n := keptConfigs + 2
+	built := make([]*Machine, n)
+	for i := range n {
+		m, err := Get(smallConfig(uint64(10 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built[i] = m
+		Put(m)
+	}
+	if configs, _ := Idle(); configs != keptConfigs {
+		t.Fatalf("%d configurations keep idle machines, want %d", configs, keptConfigs)
+	}
+	// The oldest configurations were dropped; the newest are kept.
+	for i, m := range built {
+		kept := len(idleFor(m.cfg)) == 1
+		if want := i >= n-keptConfigs; kept != want {
+			t.Errorf("configuration %d kept: %v, want %v", i, kept, want)
+		}
+	}
+}
+
+func TestPutCapsIdleMachinesAtGOMAXPROCS(t *testing.T) {
+	cfg := smallConfig(4)
+	procs := runtime.GOMAXPROCS(0)
+	var ms []*Machine
+	for range procs + 2 {
+		m, err := Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
+		Put(m)
+	}
+	if got := len(idleFor(cfg)); got != procs {
+		t.Errorf("%d idle machines, want GOMAXPROCS = %d", got, procs)
 	}
 }

@@ -58,6 +58,15 @@ func TestCaptureCollapsesInstanceScopes(t *testing.T) {
 			t.Fatalf("keys not strictly sorted: %v", keys)
 		}
 	}
+	// The snapshot is a copy: resetting the registry and the engine, as
+	// returning a machine with machine.Put does, leaves it unchanged.
+	reg.Reset()
+	eng.Reset()
+	for k, v := range want {
+		if got, _ := c.Get(k); got != v {
+			t.Errorf("after reset, Get(%q) = %d; want %d", k, got, v)
+		}
+	}
 }
 
 func TestCollapseScope(t *testing.T) {

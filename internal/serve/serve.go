@@ -237,12 +237,6 @@ type Cluster struct {
 	// deterministic at any worker count.
 	routes map[routeKey]*cost.Decision
 
-	// mpool recycles simulated machines across shard replays: a Reset
-	// machine is bit-identical to a fresh one, so reuse never changes
-	// answers or timelines — it only stops the fleet from rebuilding
-	// (and re-allocating) the world once per shard task.
-	mpool *machine.Pool
-
 	// adaptMu guards the online feedback-routing state used by the
 	// concurrent Query paths (EnableAdaptive). Load-test replays never
 	// touch it — they build per-run state from LoadSpec.Adaptive so a
@@ -281,7 +275,6 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 		refs:   make(map[db.Q06]*db.ReferenceResult),
 		refs1:  make(map[db.Q01]*db.Q1Result),
 		routes: make(map[routeKey]*cost.Decision),
-		mpool:  machine.NewPool(mc),
 	}, nil
 }
 
@@ -435,23 +428,22 @@ func (c *Cluster) referenceQ1(q db.Q01) *db.Q1Result {
 }
 
 // runShard produces req's plan's shard-s partial under opt's execution
-// mode. Exact mode runs the plan on a pooled machine instance, verifies
+// mode. Exact mode runs the plan on a machine from machine.Get, verifies
 // the engine-computed result against the shard reference, and — when
-// opt.Counters is set — snapshots the machine's counter registry into
-// the partial before the machine is recycled (Reset clears the
-// registry). Estimate mode prices the shard analytically instead; see
-// estimateShard.
+// opt.Counters is set — copies the machine's counter registry into the
+// partial before machine.Put resets it. Estimate mode prices the shard
+// analytically instead; see estimateShard.
 func (c *Cluster) runShard(s int, p query.Plan, opt Options) (ShardPartial, error) {
 	if opt.Exec == sweep.ExecEstimate {
 		return c.estimateShard(s, p)
 	}
-	m, err := c.mpool.Get()
+	m, err := machine.Get(c.mc)
 	if err != nil {
 		return ShardPartial{}, err
 	}
-	// Recycle on every path: Reset is proven safe even after a run
-	// abandoned mid-flight, so failed shard tasks keep the pool warm.
-	defer c.mpool.Put(m)
+	// Return the machine on every path: Reset is safe even after a run
+	// abandoned mid-flight.
+	defer machine.Put(m)
 	w, err := query.Prepare(m, c.shards[s], p)
 	if err != nil {
 		return ShardPartial{}, err

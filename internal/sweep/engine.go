@@ -236,10 +236,10 @@ type partial struct {
 // max(1, CellShards) shards and, for an auto cell, routing, decided on
 // the whole table so that it depends on neither the shard nor the
 // worker count. The workers then run (cell, shard) tasks: a simulation
-// on the worker's own machine or, in estimate mode, a cost-model
-// price. A cell is merged and reported to OnCell when its last task
-// lands. A cell that fails to resolve runs no tasks and is reported
-// with a zero Result.
+// on a machine drawn from machine.Get or, in estimate mode, a
+// cost-model price. A cell is merged and reported to OnCell when its
+// last task lands. A cell that fails to resolve runs no tasks and is
+// reported with a zero Result.
 func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -314,14 +314,13 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			var m *machine.Machine
 			for ti := range indices {
 				c := ti / n
 				r, p := &runs[c], &parts[ti]
 				if opt.Exec == ExecEstimate {
 					p.res, p.err = estimate(params, rs.Cells[c].Routing, r.plan, r.shards[ti%n])
 				} else {
-					p.res, p.counters, p.err = cfg.simulate(&m, r.shards[ti%n], r.plan, opt.Counters)
+					p.res, p.counters, p.err = cfg.simulate(r.shards[ti%n], r.plan, opt.Counters)
 				}
 				mu.Lock()
 				if r.left--; r.left == 0 {
@@ -354,26 +353,22 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	return rs, nil
 }
 
-// simulate runs p over tab on the worker's machine *m, building it on
-// first use and Reset-reusing it after: a reset machine is
-// bit-identical to a fresh one (machine.Reset), so reuse changes
-// wall-clock only. With counters set it snapshots the machine's
-// registry before the next task's Reset clears it.
-func (c Config) simulate(m **machine.Machine, tab *db.Table, p query.Plan, counters bool) (Result, *obs.Counters, error) {
-	if *m == nil {
-		built, err := machine.New(*c.Machine)
-		if err != nil {
-			return Result{}, nil, err
-		}
-		*m = built
-	} else {
-		(*m).Reset()
+// simulate runs p over tab on a machine drawn from machine.Get and
+// returns the machine with machine.Put, on every path: a reset machine
+// is bit-identical to a fresh one, so reuse changes wall-clock only.
+// With counters set it copies the machine's registry before Put's
+// Reset clears it. c.Machine must be set (sizedFor).
+func (c Config) simulate(tab *db.Table, p query.Plan, counters bool) (Result, *obs.Counters, error) {
+	m, err := machine.Get(*c.Machine)
+	if err != nil {
+		return Result{}, nil, err
 	}
-	res, err := c.runOn(*m, tab, p)
+	defer machine.Put(m)
+	res, err := c.runOn(m, tab, p)
 	if err != nil || !counters {
 		return res, nil, err
 	}
-	return res, obs.Capture((*m).Registry, (*m).Engine), nil
+	return res, obs.Capture(m.Registry, m.Engine), nil
 }
 
 // estimate prices p over tab with the analytic cost model; an auto

@@ -3,7 +3,7 @@ package sweep
 // Machine-reuse equivalence: a Reset machine must be indistinguishable
 // from a freshly constructed one — same cycles, same energy audit, same
 // full counter registry — for every architecture. This is the property
-// that lets the worker pool and the serving layer recycle machines.
+// that lets machine.Get hand one run's machine to the next.
 
 import (
 	"reflect"
@@ -66,26 +66,60 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		}
 	}
 
-	// Mid-run abandonment: resetting a machine whose simulation was cut
-	// short (pending events dropped) must still restore equivalence.
-	{
-		m, err := machine.New(cfg.machineConfig())
+	// Failed runs: machine.Put after a run abandoned mid-flight (pending
+	// events dropped) or after a run whose Verify failed must still
+	// return a machine equivalent to a fresh one.
+	fails := []struct {
+		name string
+		run  func(m *machine.Machine)
+	}{
+		{"abandoned", func(m *machine.Machine) {
+			w, err := query.Prepare(m, tab, plans[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.CPU.Start(w.Stream(), nil)
+			m.Engine.RunLimit(5000)
+		}},
+		{"failed verify", func(m *machine.Machine) {
+			w, err := query.Prepare(m, tab, plans[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(w.Stream())
+			for i := range m.Image {
+				m.Image[i] ^= 0xff
+			}
+			if err := w.Verify(); err == nil {
+				t.Fatal("Verify passed on a corrupted image")
+			}
+		}},
+	}
+	for _, f := range fails {
+		name := f.name
+		m, err := machine.Get(cfg.machineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := query.Prepare(m, tab, plans[0])
+		f.run(m)
+		machine.Put(m)
+		again, err := machine.Get(cfg.machineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.CPU.Start(w.Stream(), nil)
-		m.Engine.RunLimit(5000) // abandon mid-flight
-		m.Reset()
+		if again != m {
+			t.Fatalf("%s: Get did not hand back the machine just Put", name)
+		}
 		got, err := cfg.runOn(m, tab, plans[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, fresh[1]) {
-			t.Fatalf("after mid-run reset: %+v, fresh: %+v", got, fresh[1])
+			t.Fatalf("%s, then Put: %+v, fresh: %+v", name, got, fresh[1])
 		}
+		if reg := m.Registry.String(); reg != freshRegs[1] {
+			t.Fatalf("%s, then Put: registry diverges from a fresh machine's", name)
+		}
+		machine.Put(m)
 	}
 }

@@ -95,21 +95,18 @@ func (r Result) Speedup(baseCycles uint64) float64 {
 	return float64(baseCycles) / float64(r.Cycles)
 }
 
-// Run executes one plan on a fresh machine, verifies the computed
-// bitmask against the reference evaluator, and audits energy. The
-// default machine's image is sized to the table, as in a sweep.
+// Run executes one plan, verifies the computed bitmask against the
+// reference evaluator, and audits energy. The machine comes from
+// machine.Get and goes back with machine.Put, so its results are
+// bit-identical to a fresh machine's. The default machine's image is
+// sized to the table, as in a sweep.
 func (c Config) Run(tab *db.Table, p query.Plan) (Result, error) {
-	c = c.sizedFor(tab.N)
-	m, err := machine.New(*c.Machine)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.runOn(m, tab, p)
+	res, _, err := c.sizedFor(tab.N).simulate(tab, p, false)
+	return res, err
 }
 
-// runOn executes one plan on an already-built machine in a pristine
-// (fresh or Reset) state — the worker pool's machine-reuse path. The
-// machine is left dirty; callers Reset it before the next run.
+// runOn executes one plan on a machine in its post-New state. The
+// machine is left dirty; callers machine.Put it after the run.
 func (c Config) runOn(m *machine.Machine, tab *db.Table, p query.Plan) (Result, error) {
 	w, err := query.Prepare(m, tab, p)
 	if err != nil {

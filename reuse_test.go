@@ -1,6 +1,8 @@
 package hipe_test
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	hipe "github.com/hipe-sim/hipe"
@@ -66,3 +68,64 @@ func TestNarrowEngineInstructionReuse(t *testing.T) {
 }
 
 func usesEngine(a hipe.Arch) bool { return a == hipe.HIVE || a == hipe.HIPE }
+
+// TestConcurrentRunsMatchSerial has 8 goroutines call hipe.Run over
+// mixed table sizes and plans at once, each in its own order, so that
+// machines pass between goroutines and configurations through the
+// machine pool. Every result must equal the serial run's.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	type job struct {
+		tab  *hipe.Lineitem
+		plan hipe.Plan
+	}
+	var jobs []job
+	for _, n := range []int{1024, 8192} {
+		tab := hipe.Generate(n, 3)
+		for _, a := range []hipe.Arch{hipe.X86, hipe.HMC, hipe.HIVE, hipe.HIPE} {
+			jobs = append(jobs, job{tab, hipe.ServePlan(a, hipe.DefaultQ06())},
+				job{tab, hipe.ServeQ1Plan(a, hipe.DefaultQ01())})
+		}
+	}
+	cfg := hipe.Default()
+	serial := make([]hipe.Result, len(jobs))
+	for i, j := range jobs {
+		r, err := hipe.Run(cfg, j.tab, j.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = r
+	}
+
+	const goroutines = 8
+	got := make([][]hipe.Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]hipe.Result, len(jobs))
+			for k := range jobs {
+				i := (k + 3*g) % len(jobs)
+				r, err := hipe.Run(cfg, jobs[i].tab, jobs[i].plan)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g][i] = r
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, r := range got[g] {
+			if !reflect.DeepEqual(r, serial[i]) {
+				t.Errorf("goroutine %d, %s over %d rows: %+v, serial %+v",
+					g, jobs[i].plan, jobs[i].tab.N, r, serial[i])
+			}
+		}
+	}
+}
