@@ -1,27 +1,21 @@
 package machine
 
-// KeptConfigs exposes the retention bound on configurations.
-const KeptConfigs = keptConfigs
-
-// Idle reports how many configurations keep idle machines and the most
-// idle machines any one of them keeps.
-func Idle() (configs, most int) {
+// Idle reports how many idle machines are kept.
+func Idle() int {
 	idle.mu.Lock()
 	defer idle.mu.Unlock()
-	for _, s := range idle.sets {
-		most = max(most, len(s.free))
-	}
-	return len(idle.sets), most
+	return len(idle.free)
 }
 
-// idleFor returns the idle machines kept for cfg.
-func idleFor(cfg Config) []*Machine {
+// idleFor reports how many idle machines of cfg are kept.
+func idleFor(cfg Config) int {
 	idle.mu.Lock()
 	defer idle.mu.Unlock()
-	for _, s := range idle.sets {
-		if s.cfg == cfg {
-			return s.free
+	n := 0
+	for _, m := range idle.free {
+		if m.cfg == cfg {
+			n++
 		}
 	}
-	return nil
+	return n
 }

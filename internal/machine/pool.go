@@ -5,6 +5,11 @@
 // recycled machine changes wall-clock and allocation cost only — never
 // simulated results. One-shot runs, sweep workers and serving shard
 // replays all draw machines with Get and return them with Put.
+//
+// At most GOMAXPROCS idle machines are kept in total, across all
+// configurations: enough for one per worker of a parallel sweep of one
+// configuration. A sweep or load test with more workers than GOMAXPROCS
+// builds the extra machines again on each run.
 package machine
 
 import (
@@ -13,31 +18,18 @@ import (
 	"sync"
 )
 
-// keptConfigs bounds how many distinct configurations keep idle
-// machines: the most recently used ones. Each keeps at most GOMAXPROCS
-// idle machines, enough for one per worker of a parallel sweep.
-const keptConfigs = 4
-
-// idleSet holds the idle machines of one configuration.
-type idleSet struct {
-	cfg  Config
-	free []*Machine
-}
-
 var idle struct {
 	mu   sync.Mutex
-	sets []idleSet // most recently used first
+	free []*Machine // oldest first
 }
 
 // Get returns an idle machine of configuration cfg, or builds one. The
 // machine is in its post-New state. Safe for concurrent use.
 func Get(cfg Config) (*Machine, error) {
 	idle.mu.Lock()
-	if s := touch(cfg); s != nil {
-		if n := len(s.free); n > 0 {
-			m := s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
+	for i := len(idle.free) - 1; i >= 0; i-- {
+		if m := idle.free[i]; m.cfg == cfg {
+			idle.free = slices.Delete(idle.free, i, i+1)
 			idle.mu.Unlock()
 			return m, nil
 		}
@@ -46,37 +38,25 @@ func Get(cfg Config) (*Machine, error) {
 	return New(cfg)
 }
 
-// Put resets m and keeps it for a later Get of its configuration. Reset
-// is safe even after a run abandoned mid-flight, so failed runs return
-// their machines too. The caller must not use m afterwards.
+// Put resets m and keeps it for a later Get of its configuration,
+// dropping the oldest idle machine when GOMAXPROCS are already kept.
+// When that oldest machine has m's configuration, keeping m would change
+// nothing, so m is dropped without the cost of a Reset. Reset is safe
+// even after a run abandoned mid-flight, so failed runs return their
+// machines too. The caller must not use m afterwards.
 func Put(m *Machine) {
+	idle.mu.Lock()
+	full := len(idle.free) >= runtime.GOMAXPROCS(0)
+	redundant := full && idle.free[0].cfg == m.cfg
+	idle.mu.Unlock()
+	if redundant {
+		return
+	}
 	m.Reset()
 	idle.mu.Lock()
 	defer idle.mu.Unlock()
-	s := touch(m.cfg)
-	if s == nil {
-		idle.sets = slices.Insert(idle.sets, 0, idleSet{cfg: m.cfg})
-		if len(idle.sets) > keptConfigs {
-			idle.sets[keptConfigs] = idleSet{} // the least recently used set's machines go to the GC
-			idle.sets = idle.sets[:keptConfigs]
-		}
-		s = &idle.sets[0]
+	idle.free = append(idle.free, m)
+	if over := len(idle.free) - runtime.GOMAXPROCS(0); over > 0 {
+		idle.free = slices.Delete(idle.free, 0, over) // the dropped machines go to the GC
 	}
-	if len(s.free) < runtime.GOMAXPROCS(0) {
-		s.free = append(s.free, m)
-	}
-}
-
-// touch moves cfg's idle set to the front and returns it, or returns
-// nil when cfg keeps no idle set. Callers hold idle.mu.
-func touch(cfg Config) *idleSet {
-	for i := range idle.sets {
-		if idle.sets[i].cfg == cfg {
-			s := idle.sets[i]
-			copy(idle.sets[1:i+1], idle.sets[:i])
-			idle.sets[0] = s
-			return &idle.sets[0]
-		}
-	}
-	return nil
 }

@@ -37,7 +37,7 @@ func TestPoolRecyclesMachines(t *testing.T) {
 	}
 	Put(m2)
 	Put(m3)
-	if got, want := len(idleFor(cfg)), min(2, runtime.GOMAXPROCS(0)); got != want {
+	if got, want := idleFor(cfg), min(2, runtime.GOMAXPROCS(0)); got != want {
 		t.Errorf("%d idle machines, want %d", got, want)
 	}
 	// A machine of another configuration is never handed out for cfg.
@@ -51,35 +51,12 @@ func TestPoolRecyclesMachines(t *testing.T) {
 	Put(other)
 }
 
-func TestPoolKeepsRecentConfigs(t *testing.T) {
-	n := keptConfigs + 2
-	built := make([]*Machine, n)
-	for i := range n {
-		m, err := Get(smallConfig(uint64(10 + i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		built[i] = m
-		Put(m)
-	}
-	if configs, _ := Idle(); configs != keptConfigs {
-		t.Fatalf("%d configurations keep idle machines, want %d", configs, keptConfigs)
-	}
-	// The oldest configurations were dropped; the newest are kept.
-	for i, m := range built {
-		kept := len(idleFor(m.cfg)) == 1
-		if want := i >= n-keptConfigs; kept != want {
-			t.Errorf("configuration %d kept: %v, want %v", i, kept, want)
-		}
-	}
-}
-
 func TestPutCapsIdleMachinesAtGOMAXPROCS(t *testing.T) {
-	cfg := smallConfig(4)
 	procs := runtime.GOMAXPROCS(0)
+	cfgs := []Config{smallConfig(4), smallConfig(5)}
 	var ms []*Machine
-	for range procs + 2 {
-		m, err := Get(cfg)
+	for i := range procs + 2 {
+		m, err := Get(cfgs[i%2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +65,56 @@ func TestPutCapsIdleMachinesAtGOMAXPROCS(t *testing.T) {
 	for _, m := range ms {
 		Put(m)
 	}
-	if got := len(idleFor(cfg)); got != procs {
+	if got := Idle(); got != procs {
+		t.Errorf("%d idle machines across configurations, want GOMAXPROCS = %d", got, procs)
+	}
+	// A machine of another configuration displaces the oldest idle one.
+	m, err := Get(smallConfig(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Put(m)
+	if got := Idle(); got != procs {
+		t.Errorf("%d idle machines after a new configuration, want GOMAXPROCS = %d", got, procs)
+	}
+	if got := idleFor(smallConfig(6)); got != 1 {
+		t.Errorf("%d idle machines of the newest configuration, want 1", got)
+	}
+}
+
+// TestPutDropsRedundantMachineUnreset fills the idle list with one
+// configuration; a further machine of it is dropped without a Reset.
+func TestPutDropsRedundantMachineUnreset(t *testing.T) {
+	cfg := smallConfig(7)
+	procs := runtime.GOMAXPROCS(0)
+	var ms []*Machine
+	for range procs + 1 {
+		m, err := Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	for _, m := range ms[:procs] {
+		Put(m)
+	}
+	extra := ms[procs]
+	extra.Image[0] = 1
+	Put(extra)
+	if extra.Image[0] != 1 {
+		t.Error("Put reset a machine it did not keep")
+	}
+	if got := idleFor(cfg); got != procs {
 		t.Errorf("%d idle machines, want GOMAXPROCS = %d", got, procs)
+	}
+	for range procs {
+		m, err := Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == extra {
+			t.Fatal("Put kept a machine beyond GOMAXPROCS")
+		}
+		defer Put(m)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // TestRunRetentionBound runs hipe.Run over 50 table sizes, each on a
 // machine whose image is the table's footprint rounded up to a 4 KiB
 // page, so every run is a distinct configuration. The idle machines
-// left behind must stay within the retention bound: KeptConfigs
-// configurations, GOMAXPROCS machines each.
+// left behind must stay within the retention bound: GOMAXPROCS machines
+// in total.
 func TestRunRetentionBound(t *testing.T) {
 	const sizes = 50
 	plan := hipe.ServePlan(hipe.X86, hipe.DefaultQ06())
@@ -26,14 +26,11 @@ func TestRunRetentionBound(t *testing.T) {
 		if _, err := hipe.Run(cfg, hipe.Generate(n, 1), plan); err != nil {
 			t.Fatalf("%d rows: %v", n, err)
 		}
-		configs, most := machine.Idle()
-		if configs > machine.KeptConfigs || most > runtime.GOMAXPROCS(0) {
-			t.Fatalf("after %d runs: %d configurations keep up to %d idle machines; bound %d configurations, %d machines",
-				i+1, configs, most, machine.KeptConfigs, runtime.GOMAXPROCS(0))
+		if got := machine.Idle(); got > runtime.GOMAXPROCS(0) {
+			t.Fatalf("after %d runs: %d idle machines, bound GOMAXPROCS = %d", i+1, got, runtime.GOMAXPROCS(0))
 		}
 	}
-	if configs, _ := machine.Idle(); configs != machine.KeptConfigs {
-		t.Errorf("%d configurations keep idle machines after %d distinct ones ran, want %d",
-			configs, sizes, machine.KeptConfigs)
+	if got, want := machine.Idle(), min(sizes, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("%d idle machines after %d distinct configurations ran, want %d", got, sizes, want)
 	}
 }
