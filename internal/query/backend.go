@@ -1,15 +1,13 @@
-// The backend registry: every execution architecture is one registered
-// Backend — a compiler from a prepared Workload to a µop stream plus a
-// static capability report. Plan validation, the CLIs' architecture
-// lists and the adaptive planner (internal/cost, internal/serve) all
-// consult the registry instead of hard-wiring the four architectures,
-// so adding a backend is one Register call, not a sweep across the
-// stack.
+// The backend table: every execution architecture is one Backend — a
+// compiler from a prepared Workload to a µop stream plus a static
+// capability report. Plan validation, the CLIs' architecture lists and
+// the adaptive planner (internal/cost, internal/serve) all consult the
+// table instead of hard-wiring the four architectures.
 package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/hipe-sim/hipe/internal/isa"
@@ -51,12 +49,12 @@ func (c Caps) Supports(s Strategy) bool {
 	return c.ColumnAtATime
 }
 
-// Backend is one registered execution architecture: a µop-stream
+// Backend is one execution architecture: a µop-stream
 // compiler for prepared workloads plus its static capability report.
 type Backend interface {
 	// Arch is the architecture the backend implements.
 	Arch() Arch
-	// Name is the backend's registered name (the CLI spelling).
+	// Name is the backend's name (the CLI spelling).
 	Name() string
 	// Caps reports the backend's capability envelope.
 	Caps() Caps
@@ -65,43 +63,30 @@ type Backend interface {
 	Compile(w *Workload) Stream
 }
 
-// registry maps architectures to their registered backends. Backends
-// register at package init; the map is read-only afterwards, so
-// concurrent readers need no locking.
-var registry = map[Arch]Backend{}
+// backends is the backend table, indexed by architecture. It is
+// read-only, so concurrent readers need no locking.
+var backends = [...]Backend{X86: x86Backend{}, HMC: hmcBackend{}, HIVE: hiveBackend{}, HIPE: hipeBackend{}}
 
-// Register adds a backend to the registry. It panics on a duplicate
-// architecture — backend identity is 1:1 with the Arch enum.
-func Register(b Backend) {
-	if _, dup := registry[b.Arch()]; dup {
-		panic(fmt.Sprintf("query: backend %s registered twice", b.Name()))
-	}
-	registry[b.Arch()] = b
-}
-
-// BackendFor returns the backend registered for an architecture.
+// BackendFor returns the backend of an architecture.
 func BackendFor(a Arch) (Backend, bool) {
-	b, ok := registry[a]
-	return b, ok
-}
-
-// Backends returns the registered backends in architecture order — the
-// deterministic iteration order planners and CLIs use.
-func Backends() []Backend {
-	out := make([]Backend, 0, len(registry))
-	for _, b := range registry {
-		out = append(out, b)
+	if int(a) >= len(backends) {
+		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Arch() < out[j].Arch() })
-	return out
+	return backends[a], true
 }
 
-// BackendNames returns the registered backend names in architecture
-// order — what CLI error messages list instead of a hard-coded string.
+// Backends returns the backends in architecture order — the
+// deterministic iteration order planners and CLIs use. The slice is the
+// caller's own.
+func Backends() []Backend {
+	return slices.Clone(backends[:])
+}
+
+// BackendNames returns the backend names in architecture order — what
+// CLI error messages list instead of a hard-coded string.
 func BackendNames() []string {
-	bs := Backends()
-	names := make([]string, len(bs))
-	for i, b := range bs {
+	names := make([]string, len(backends))
+	for i, b := range backends {
 		names[i] = b.Name()
 	}
 	return names
@@ -120,7 +105,7 @@ func ParseArch(name string) (Arch, bool) {
 	if name == ArchAuto.String() {
 		return ArchAuto, true
 	}
-	for _, b := range Backends() {
+	for _, b := range backends {
 		if b.Name() == name {
 			return b.Arch(), true
 		}
@@ -150,7 +135,7 @@ func (p Plan) Candidates(tuples int) []Plan {
 		return []Plan{p}
 	}
 	var out []Plan
-	for _, b := range Backends() {
+	for _, b := range backends {
 		q := p
 		q.Arch = b.Arch()
 		if q.ValidateFor(tuples) == nil {
@@ -170,17 +155,12 @@ func (w *Workload) Stream() Stream {
 	return b.Compile(w)
 }
 
-// The four architectures of the paper, registered behind the Backend
-// interface. Each Compile dispatches on the workload's query kind and
-// strategy to the generator that produces the architecture's µop
-// stream.
-
-func init() {
-	Register(x86Backend{})
-	Register(hmcBackend{})
-	Register(hiveBackend{})
-	Register(hipeBackend{})
-}
+// The four architectures of the paper behind the Backend interface.
+// Each Compile dispatches on the plan's strategy to the generator that
+// produces the architecture's µop stream. A tuple-at-a-time generator
+// and HIVE's column generator compile both query kinds from the
+// workload's description; the x86, HMC and HIPE column plans have a
+// grouped twin beside the selection one.
 
 type x86Backend struct{}
 
@@ -192,14 +172,11 @@ func (x86Backend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 64, MaxUnroll: 8}
 }
 func (x86Backend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1x86Tuple()
-		}
-		return w.q1x86Column()
-	}
-	if w.Plan.Strategy == TupleAtATime {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
 		return w.x86Tuple()
+	case w.Desc.Grouped():
+		return w.q1x86Column()
 	}
 	return w.x86Column()
 }
@@ -212,14 +189,11 @@ func (hmcBackend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32}
 }
 func (hmcBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1hmcTuple()
-		}
-		return w.q1hmcColumn()
-	}
-	if w.Plan.Strategy == TupleAtATime {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
 		return w.hmcTuple()
+	case w.Desc.Grouped():
+		return w.q1hmcColumn()
 	}
 	return w.hmcColumn()
 }
@@ -232,16 +206,10 @@ func (hiveBackend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Fused: true}
 }
 func (hiveBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1pimTuple(isa.TargetHIVE)
-		}
-		return w.q1hiveColumn()
-	}
-	if w.Plan.Strategy == TupleAtATime {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
 		return w.pimTuple(isa.TargetHIVE)
-	}
-	if w.Plan.Fused {
+	case w.Plan.Fused:
 		return w.hiveFusedColumn()
 	}
 	return w.hiveColumn()
@@ -257,7 +225,7 @@ func (hipeBackend) Caps() Caps {
 	return Caps{ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Aggregate: true}
 }
 func (hipeBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
+	if w.Desc.Grouped() {
 		return w.q1hipeColumn()
 	}
 	return w.hipeColumn()

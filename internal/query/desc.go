@@ -12,6 +12,7 @@ import (
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
+	"github.com/hipe-sim/hipe/internal/mem"
 )
 
 // QueryKind selects the workload family a plan executes.
@@ -188,14 +189,15 @@ func columnSlice(t *db.Table, col int) []int32 {
 	}
 }
 
-// tuplePatternsDesc builds the per-lane GE and LE constants for one
-// 16-field tuple from the description: predicate fields carry their
-// bounds, every other lane always matches. This is what a
+// tuplePatternsDesc builds the per-lane pattern rows for one 16-field
+// tuple from the description, indexed wantGE and wantLE: predicate
+// fields carry their lower bounds in the GE row and their upper bounds
+// in the LE row, every other lane always matches. This is what a
 // tuple-at-a-time pattern compare (HMC CmpRead immediates, HIVE bound
 // registers) evaluates in a single instruction.
-func tuplePatternsDesc(d Desc) (ge, le []int32) {
-	ge = make([]int32, db.NumFields)
-	le = make([]int32, db.NumFields)
+func tuplePatternsDesc(d Desc) (rows [2][]int32) {
+	ge := make([]int32, db.NumFields)
+	le := make([]int32, db.NumFields)
 	for f := 0; f < db.NumFields; f++ {
 		ge[f] = minInt32
 		le[f] = maxInt32
@@ -219,7 +221,45 @@ func tuplePatternsDesc(d Desc) (ge, le []int32) {
 			}
 		}
 	}
-	return ge, le
+	return [2][]int32{wantGE: ge, wantLE: le}
+}
+
+// patternRows reports the pattern rows a tuple-at-a-time plan compares
+// against, as the row range [first, first+n) of wantGE, wantLE: a lower
+// bound needs the GE row, an upper bound the LE row (Q06 both, Q01 only
+// LE). A row no bound needs passes every lane, so the AND of the
+// compared rows is the plan's wantGELE mask.
+func (d Desc) patternRows() (first, n int) {
+	var need [2]bool
+	for _, st := range d.Stages {
+		for _, b := range st.Bounds {
+			need[wantGE] = need[wantGE] || b.Kind != isa.CmpLE && b.Kind != isa.CmpLT
+			need[wantLE] = need[wantLE] || b.Kind != isa.CmpGE && b.Kind != isa.CmpGT
+		}
+	}
+	if !need[wantGE] {
+		first = wantLE
+	}
+	for _, r := range need {
+		if r {
+			n++
+		}
+	}
+	return first, n
+}
+
+// rowALU is the compare each pattern row evaluates, indexed wantGE,
+// wantLE.
+var rowALU = [2]isa.ALUKind{wantGE: isa.CmpGE, wantLE: isa.CmpLE}
+
+// pcBase picks a generator's PC base by query kind: the selection and
+// grouped streams of one generator keep apart PCs, which feed the
+// branch predictor.
+func (d Desc) pcBase(selection, grouped uint64) uint64 {
+	if d.Grouped() {
+		return grouped
+	}
+	return selection
 }
 
 const (
@@ -237,6 +277,15 @@ type cpuAcc struct {
 	regs [db.NumGroups][NumAggs]isa.Reg
 }
 
+// newCPUAcc returns the register accumulators of a grouped plan, and
+// nil for a selection scan, which accumulates nothing.
+func (w *Workload) newCPUAcc(vr *vregs) *cpuAcc {
+	if !w.Desc.Grouped() {
+		return nil
+	}
+	return &cpuAcc{vr: vr}
+}
+
 // add emits one accumulate µop (class IntALU for add-into-sum, IntMul
 // where the addend itself is a product) chained onto the (g, agg)
 // accumulator, reading src.
@@ -244,6 +293,54 @@ func (a *cpuAcc) add(e *emitter, class isa.OpClass, g, agg int, src isa.Reg) {
 	dst := a.vr.fresh()
 	e.emit(isa.MicroOp{Class: class, Dst: dst, Src1: a.regs[g][agg], Src2: src})
 	a.regs[g][agg] = dst
+}
+
+// matchOps bounds the µops a tuple-at-a-time plan emits for one
+// matching tuple (see emitMatch).
+func (w *Workload) matchOps(reload bool) int {
+	switch {
+	case !w.Desc.Grouped():
+		return 1
+	case reload:
+		return 9
+	}
+	return 8
+}
+
+// emitMatch emits a tuple-at-a-time plan's action on matching tuple i.
+// A selection scan materialises it as output tuple *matched. A grouped
+// scan accumulates it into acc from tup, the register holding the
+// tuple's data, or, when tup is RegNone, from a cache-path reload of
+// the tuple.
+func (w *Workload) emitMatch(e *emitter, acc *cpuAcc, i int, tup isa.Reg, matched *int) {
+	if acc == nil {
+		e.emit(isa.MicroOp{Class: isa.Store,
+			Addr: w.Materialize + mem.Addr(*matched*db.TupleBytes), Size: db.TupleBytes})
+		*matched++
+		return
+	}
+	if tup == isa.RegNone {
+		tup = acc.vr.fresh()
+		e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
+			Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
+	}
+	w.emitTupleAccumulate(e, acc, i, tup)
+}
+
+// emitTupleTests emits the processor's decisions over the n tuples from
+// tuple first whose lane bitmask register m holds, as the HMC and HIVE
+// tuple plans take them: per tuple a test and a data-dependent branch,
+// then the match action on a match, reloading the tuple.
+func (w *Workload) emitTupleTests(e *emitter, vr *vregs, acc *cpuAcc, m isa.Reg, first, n int, matched *int) {
+	for i := first; i < first+n; i++ {
+		tv := vr.fresh()
+		e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
+		match := w.tupleMatch(i)
+		e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
+		if match {
+			w.emitMatch(e, acc, i, isa.RegNone, matched)
+		}
+	}
 }
 
 // emitTupleAccumulate emits the processor-side scalar accumulation of

@@ -1,9 +1,8 @@
-// Shared µop-stream plumbing for the registered backends: the PC-tracking
-// emitter every generator writes through, the per-block loop epilogue,
-// the in-order offload chain, and the accumulator clear/spill/verify
-// epilogues of the engine aggregation plans. Before the registry layer
-// existed each generator carried its own copy of this code; the golden
-// stream tests pin that the shared helpers emit byte-identical µops.
+// Shared µop-stream plumbing for the backends: the PC-tracking emitter
+// every generator writes through, the per-block loop epilogue, the
+// in-order offload chain, and the accumulator clear/spill/verify
+// epilogues of the engine aggregation plans. The golden stream tests
+// pin that the shared helpers emit byte-identical µops.
 package query
 
 import (

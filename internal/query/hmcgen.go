@@ -7,141 +7,78 @@ import (
 )
 
 // hmcTuple generates the HMC-baseline tuple-at-a-time scan: per chunk of
-// OpSize bytes of tuple data, two load-compare instructions (GE and LE
-// lane patterns) execute inside the vault; the processor ANDs the
-// returned bitmasks, branches per tuple, and materialises matches with
-// cache-assisted stores.
+// OpSize bytes of tuple data, one load-compare instruction per pattern
+// row (GE and LE lane patterns) executes inside the vault; the
+// processor ANDs the returned bitmasks, branches per tuple and acts on
+// matches. A selection materialises them with cache-assisted stores and
+// stores the chunk's bitmask; a grouped description reloads each
+// matching tuple through the cache hierarchy, branches again on the
+// group key, and accumulates the group's running sums in registers.
 func (w *Workload) hmcTuple() *chunkedStream {
-	p := w.Plan
+	p := &w.Plan
 	S := int(p.OpSize)
 	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	patGE, patLE := w.patternLanes()
+	row0, rows := w.Desc.patternRows()
+	maskStores := 1
+	if w.Desc.Grouped() {
+		maskStores = 0
+	}
 
 	vr := &vregs{}
+	acc := w.newCPUAcc(vr)
 	group := 0
 	matched := 0
-	// Per chunk: two load-compares, the AND, a test, branch and at most
-	// one store per tuple, and the mask store; then the loop tail.
+	pcBase := w.Desc.pcBase(0x3000, 0x9000)
+	// Per chunk: a load-compare and AND per pattern row, per tuple a
+	// test, branch and the match action, and a selection's mask store;
+	// then the loop tail.
 	per := min(p.Unroll, chunks)
-	maxOps := per*(4+3*tuplesPerChunk) + 2
-	return newChunkedStream(maxOps, 2*per, func(e *emitter) bool {
+	maxOps := per*(2*rows-1+tuplesPerChunk*(2+w.matchOps(true))+maskStores) + 2
+	return newChunkedStream(maxOps, rows*per, func(e *emitter) bool {
 		if group >= groups {
 			return false
 		}
-		e.pc = 0x3000
+		e.pc = pcBase
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			firstTuple := c * tuplesPerChunk
 			addr := w.NSM.Base + mem.Addr(c*stride)
-
-			g, l := vr.fresh(), vr.fresh()
-			e.offload(g, isa.RegNone, isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
-				Addr: addr, Size: p.OpSize, Pattern: patGE,
-				Expect: w.want.at(wantGE, c), OnResult: w.onResult,
-			})
-			e.offload(l, isa.RegNone, isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: patLE,
-				Expect: w.want.at(wantLE, c), OnResult: w.onResult,
-			})
-			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: g, Src2: l})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := firstTuple + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if match {
-					e.emit(isa.MicroOp{Class: isa.Store,
-						Addr: w.Materialize + mem.Addr(matched*db.TupleBytes),
-						Size: db.TupleBytes})
-					matched++
-				}
-			}
-			// Store the chunk's bitmask with cache assistance.
-			e.emit(isa.MicroOp{Class: isa.Store, Src1: m,
-				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(isa.MaskBytes(p.OpSize)),
-				Size: isa.MaskBytes(p.OpSize)})
-		}
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	})
-}
-
-// patternLanes returns the GE and LE patterns truncated to the
-// instruction immediate (at most one tuple of 16 lanes, fewer for
-// sub-tuple ops), which the engine tiles across the operand.
-func (w *Workload) patternLanes() (ge, le []int32) {
-	n := int(w.Plan.OpSize) / 4
-	if n > db.NumFields {
-		n = db.NumFields
-	}
-	return w.patGE[:n], w.patLE[:n]
-}
-
-// q1hmcTuple generates the HMC-baseline tuple-at-a-time Q01
-// aggregation: per chunk of tuple data, one load-compare instruction
-// evaluates the shipdate filter pattern inside the vault; the bitmask
-// round-trips to the processor, which branches per tuple, reloads
-// matching tuples through the cache hierarchy, branches again on the
-// group key, and accumulates the group's running sums in registers.
-func (w *Workload) q1hmcTuple() *chunkedStream {
-	p := w.Plan
-	S := int(p.OpSize)
-	tuplesPerChunk, stride := tupleChunking(S)
-	chunks := w.Table.N / tuplesPerChunk
-	groups := (chunks + p.Unroll - 1) / p.Unroll
-	_, patLE := w.patternLanes()
-
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	group := 0
-	// Per chunk: the load-compare, then per tuple a test, branch, reload
-	// and emitTupleAccumulate's 8; then the loop tail.
-	per := min(p.Unroll, chunks)
-	maxOps := per*(1+11*tuplesPerChunk) + 2
-	return newChunkedStream(maxOps, per, func(e *emitter) bool {
-		if group >= groups {
-			return false
-		}
-		e.pc = 0x9000
-		first, last := blockBounds(group, p.Unroll, chunks)
-		for c := first; c < last; c++ {
-			firstTuple := c * tuplesPerChunk
-			addr := w.NSM.Base + mem.Addr(c*stride)
-
-			m := vr.fresh()
-			e.offload(m, isa.RegNone, isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: patLE,
-				Expect: w.want.at(wantLE, c), OnResult: w.onResult,
-			})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := firstTuple + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if !match {
+			m := isa.RegNone
+			for r := row0; r < row0+rows; r++ {
+				cr := vr.fresh()
+				e.offload(cr, isa.RegNone, isa.OffloadInst{
+					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: rowALU[r],
+					Addr: addr, Size: p.OpSize, Pattern: w.patternLanes(r),
+					Expect: w.want.at(r, c), OnResult: w.onResult,
+				})
+				if m == isa.RegNone {
+					m = cr
 					continue
 				}
-				// Cache-path reload of the matching tuple, then the
-				// shared group-dispatch-and-accumulate block.
-				tup := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
-					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e, acc, i, tup)
+				nm := vr.fresh()
+				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: cr})
+				m = nm
+			}
+			w.emitTupleTests(e, vr, acc, m, c*tuplesPerChunk, tuplesPerChunk, &matched)
+			if !w.Desc.Grouped() {
+				// Store the chunk's bitmask with cache assistance.
+				e.emit(isa.MicroOp{Class: isa.Store, Src1: m,
+					Addr: w.FinalMask + mem.Addr(c)*mem.Addr(isa.MaskBytes(p.OpSize)),
+					Size: isa.MaskBytes(p.OpSize)})
 			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
 		return true
 	})
+}
+
+// patternLanes returns pattern row r truncated to the instruction
+// immediate (at most one tuple of 16 lanes, fewer for sub-tuple ops),
+// which the engine tiles across the operand.
+func (w *Workload) patternLanes(r int) []int32 {
+	return w.pat[r][:min(int(w.Plan.OpSize)/4, db.NumFields)]
 }
 
 // q1hmcColumn generates the HMC-baseline column-at-a-time Q01

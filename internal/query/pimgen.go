@@ -26,14 +26,19 @@ const hiveWave = 30
 // temporaries r30..r32.
 const hipeWave = 15
 
-// pimTuple generates the HIVE tuple-at-a-time scan: per wave, a lock
-// block hoists the tuple-data loads, pattern-compares each chunk against
-// the bound registers, and stores the lane bitmasks; the processor then
-// fetches each bitmask, branches per tuple and materialises matches.
-// Lock blocks are serialised through the processor — the control
-// dependency the paper blames for HIVE's tuple-at-a-time behaviour.
+// pimTuple generates the HIVE tuple-at-a-time scan: a one-time block
+// loads the description's pattern rows into the bound registers (r33
+// on, in GE, LE order); then per wave, a lock block hoists the
+// tuple-data loads, pattern-compares each chunk against the bound
+// registers, and stores the lane bitmasks; the processor then fetches
+// each bitmask, branches per tuple and acts on matches — a selection
+// materialises them, a grouped description reloads each through the
+// cache, branches on the group key and accumulates in registers, so the
+// aggregation decision still round-trips through the processor. Lock
+// blocks are serialised through the processor — the control dependency
+// the paper blames for HIVE's tuple-at-a-time behaviour.
 func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
-	p := w.Plan
+	p := &w.Plan
 	S := int(p.OpSize)
 	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
@@ -43,39 +48,43 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	}
 	groups := (chunks + wave - 1) / wave
 	maskBytes := isa.MaskBytes(p.OpSize)
+	row0, rows := w.Desc.patternRows()
 
-	const regGE, regLE = 33, 34
+	const regPattern = 33
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
+	acc := w.newCPUAcc(vr)
 	oc := &offloadChain{vr: vr, target: target}
 	setupDone := false
 	group := 0
 	matched := 0
+	pcBase := w.Desc.pcBase(0x5000, 0xA000)
 
-	// Per chunk: the data load, two compares, the AND and the mask
-	// store; then the bitmask fetch and per tuple a test, branch and at
-	// most one store. Lock, unlock and the loop tail frame the block.
+	// Per chunk: the data load, a compare and AND per pattern row and
+	// the mask store; then the bitmask fetch and per tuple a test,
+	// branch and the match action. Lock, unlock and the loop tail frame
+	// the block.
 	per := min(wave, chunks)
-	insts := 2 + 5*per
-	maxOps := insts + per*(1+3*tuplesPerChunk) + 2
+	insts := 2 + (2*rows+1)*per
+	maxOps := insts + per*(1+tuplesPerChunk*(2+w.matchOps(true))) + 2
 	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
-			// One-time block: load the GE/LE pattern rows into the two
-			// reserved bound registers.
-			e.pc = 0x5000
+			// One-time block: load the pattern rows into the reserved
+			// bound registers.
+			e.pc = pcBase
 			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
-				Dst: regGE, Addr: w.PatternGE, Size: 256})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
-				Dst: regLE, Addr: w.PatternLE, Size: 256})
+			for k := 0; k < rows; k++ {
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+					Dst: uint8(regPattern + k), Addr: w.Pattern[row0+k], Size: 256})
+			}
 			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 			return true
 		}
 		if group >= groups {
 			return false
 		}
-		e.pc = 0x5100
+		e.pc = pcBase + 0x100
 		first, last := blockBounds(group, wave, chunks)
 		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
@@ -88,12 +97,14 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 		// bitmask stored straight out of the temp.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
-				ALU: isa.CmpGE, Dst: tmpA, Src1: rD, Src2: regGE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
-				ALU: isa.CmpLE, Dst: tmpB, Src1: rD, Src2: regLE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
-				ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+			for k := 0; k < rows; k++ {
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: rowALU[row0+k],
+					Dst: uint8(tmpA + k), Src1: rD, Src2: uint8(regPattern + k)})
+			}
+			if rows == 2 {
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU,
+					ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+			}
 			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
 				Expect: w.want.at(wantGELE, c), OnResult: w.onResult})
@@ -101,118 +112,12 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, test per
-		// tuple, materialise matches.
+		// tuple, act on matches.
 		for c := first; c < last; c++ {
 			lm := vr.fresh()
 			e.emit(isa.MicroOp{Class: isa.Load, Dst: lm, Src1: unlockAck,
 				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := c*tuplesPerChunk + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: lm})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if match {
-					e.emit(isa.MicroOp{Class: isa.Store,
-						Addr: w.Materialize + mem.Addr(matched*db.TupleBytes), Size: db.TupleBytes})
-					matched++
-				}
-			}
-		}
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	})
-}
-
-// q1pimTuple generates the HIVE tuple-at-a-time Q01 aggregation: per
-// wave, a lock block hoists the tuple-data loads and pattern-compares
-// the shipdate filter, storing lane bitmasks; the processor fetches
-// each bitmask, branches per tuple, reloads matching tuples through the
-// cache, branches on the group key and accumulates in registers — the
-// aggregation decision still round-trips through the processor.
-func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
-	p := w.Plan
-	S := int(p.OpSize)
-	tuplesPerChunk, stride := tupleChunking(S)
-	chunks := w.Table.N / tuplesPerChunk
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
-	groups := (chunks + wave - 1) / wave
-	maskBytes := isa.MaskBytes(p.OpSize)
-
-	const regLE = 33
-	const tmpA = 30
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	oc := &offloadChain{vr: vr, target: target}
-	setupDone := false
-	group := 0
-
-	// Per chunk: the data load, the compare and the mask store; then
-	// the bitmask fetch and per tuple a test, branch, reload and
-	// emitTupleAccumulate's 8. Lock, unlock and the loop tail frame the
-	// block.
-	per := min(wave, chunks)
-	insts := 2 + 3*per
-	maxOps := insts + per*(1+11*tuplesPerChunk) + 2
-	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
-		if !setupDone {
-			setupDone = true
-			// One-time block: load the LE pattern row into the bound
-			// register (Q01's filter is a single upper bound).
-			e.pc = 0xA000
-			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
-				Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
-			return true
-		}
-		if group >= groups {
-			return false
-		}
-		e.pc = 0xA100
-		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-		// Phase A: hoisted data loads, one register per chunk.
-		for c := first; c < last; c++ {
-			rD := uint8(c - first)
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
-				Dst: rD, Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
-		}
-		// Phase B: per-chunk filter compare, bitmask stored from the temp.
-		for c := first; c < last; c++ {
-			rD := uint8(c - first)
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU,
-				ALU: isa.CmpLE, Dst: tmpA, Src1: rD, Src2: regLE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
-				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				Expect: w.want.at(wantLE, c), OnResult: w.onResult})
-		}
-		unlockAck := oc.emitUnlock(e)
-
-		// Processor control flow: fetch each chunk's bitmask, branch per
-		// tuple, accumulate matching tuples' groups.
-		for c := first; c < last; c++ {
-			lm := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Load, Dst: lm, Src1: unlockAck,
-				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := c*tuplesPerChunk + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: lm})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if !match {
-					continue
-				}
-				tup := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
-					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e, acc, i, tup)
-			}
+			w.emitTupleTests(e, vr, acc, lm, c*tuplesPerChunk, tuplesPerChunk, &matched)
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
@@ -221,17 +126,26 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 }
 
 // hiveColumn generates HIVE's column-at-a-time scan (Figure 3b/3c): per
-// column, software-pipelined lock blocks compute the chunk bitmasks
-// in-memory; between columns the processor must fetch every bitmask back
-// from DRAM and branch to decide which portions of the next column to
-// process — the round trip HIPE eliminates.
+// predicate stage, software-pipelined lock blocks compute the chunk
+// bitmasks in-memory; between stages the processor must fetch every
+// bitmask back from DRAM and branch to decide which chunks of the next
+// column to process — the round trip HIPE eliminates. A grouped
+// description continues with a tail over the chunks that survive the
+// last stage: a block clears the accumulator registers the stage pass
+// clobbered, one aggregation block per group of surviving chunks
+// reloads the final bitmask into the bank, loads the key and measure
+// columns unconditionally and runs every group's masked accumulation
+// whether or not the group occurs in the chunk, and a last block spills
+// the accumulators. The clear and spill blocks run even when no chunk
+// survives.
 func (w *Workload) hiveColumn() *chunkedStream {
-	p := w.Plan
+	p := &w.Plan
 	S := int(p.OpSize)
 	maskBytes := isa.MaskBytes(p.OpSize)
 	tuplesPerChunk := S / db.ColumnWidth
 	chunks := w.Table.N / tuplesPerChunk
 	stages := w.Desc.Stages
+	grouped := w.Desc.Grouped()
 	wave := p.Unroll
 	if wave > hiveWave {
 		wave = hiveWave
@@ -240,28 +154,53 @@ func (w *Workload) hiveColumn() *chunkedStream {
 	const tmpA, tmpB, tmpP = 30, 31, 32
 	vr := &vregs{}
 	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
+	// stage indexes the predicate stages; len(stages) is a grouped
+	// plan's aggregation pass, and one past it its spill.
 	stage := 0
 	pos := 0 // index into the selected chunk list of this stage
 	selected := make([]int, 0, chunks)
 	for c := 0; c < chunks; c++ {
 		selected = append(selected, c) // stage 0 processes everything
 	}
+	pcBase := w.Desc.pcBase(0x6000, 0xB000)
 
-	// Per chunk: the data load, previous-mask load, a compare per bound,
-	// two ANDs and the mask store; then the bitmask fetch, test and
-	// branch. Lock, unlock and the loop branch frame the block.
+	// A stage block holds per chunk the data load, a compare per bound,
+	// the bound AND and the mask store, and on refinement stages the
+	// previous-mask load and AND; then the bitmask fetch, test and
+	// branch. A grouped plan's blocks also include an aggregation block
+	// (per chunk the mask reload, five loads, the multiply and 11 per
+	// group) and the accumulator clear and spill blocks. Lock, unlock
+	// and the loop branch frame each block.
+	perChunk := maxBounds(stages) + 3
+	if len(stages) > 1 {
+		perChunk += 2
+	}
 	per := min(wave, chunks)
-	insts := 2 + per*(maxBounds(stages)+5)
+	insts := 2 + per*perChunk
 	maxOps := insts + 3*per + 1
+	if grouped {
+		insts = max(insts, 2+min(p.Unroll, chunks)*(7+11*w.Desc.Groups), 2+w.Desc.Groups*NumAggs)
+		maxOps = max(maxOps, insts+1)
+	}
 	return newChunkedStream(maxOps, insts, func(e *emitter) bool {
 		for pos >= len(selected) {
-			// Advance to the next column; recompute the chunks that can
+			if stage >= len(stages) {
+				// The aggregation pass is complete: one final block
+				// spills the accumulators.
+				if stage > len(stages) {
+					return false
+				}
+				stage++
+				e.pc = 0xB800
+				oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+				w.q1SpillAccs(e, oc)
+				oc.emitUnlock(e)
+				return true
+			}
+			// Advance to the next stage; recompute the chunks that can
 			// still produce matches.
 			stage++
 			pos = 0
-			if stage >= len(stages) {
-				return false
-			}
 			next := selected[:0]
 			for c := 0; c < chunks; c++ {
 				if bitRange(w.prefix[stage-1], c*tuplesPerChunk, (c+1)*tuplesPerChunk) {
@@ -269,20 +208,47 @@ func (w *Workload) hiveColumn() *chunkedStream {
 				}
 			}
 			selected = next
-			if len(selected) == 0 {
-				stage = len(stages)
-				return false
+			if stage == len(stages) {
+				if !grouped {
+					return false
+				}
+				// Zero the accumulator registers the stage pass
+				// clobbered.
+				e.pc = 0xB200
+				oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+				w.q1ClearAccs(e, oc)
+				oc.emitUnlock(e)
+				return true
 			}
+		}
+		if stage == len(stages) {
+			// Aggregation pass: one lock block per group of surviving
+			// chunks, each chunk folded sequentially into the live
+			// accumulators.
+			e.pc = 0xB400
+			first, last := pos, min(pos+p.Unroll, len(selected))
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			for _, c := range selected[first:last] {
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
+					Dst: q1RegFilter, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
+				for _, ld := range q1Columns {
+					oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+						Dst: ld.reg, Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize})
+				}
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU,
+					ALU: isa.Mul, Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc})
+				w.q1EmitGroups(e, oc)
+			}
+			oc.emitUnlock(e)
+			e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
+			pos = last
+			return true
 		}
 		st := stages[stage]
 		col := st.Col
-		e.pc = uint64(0x6000 + 0x400*stage)
+		e.pc = pcBase + uint64(0x400*stage)
 
-		first := pos
-		last := first + wave
-		if last > len(selected) {
-			last = len(selected)
-		}
+		first, last := pos, min(pos+wave, len(selected))
 		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted column-data loads.
 		for k := first; k < last; k++ {
@@ -321,7 +287,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 
 		// Processor decision round trip: fetch each fresh bitmask from
 		// memory (first touch per line goes to DRAM) and branch on
-		// whether the next column needs this chunk.
+		// whether the next pass needs this chunk.
 		for k := first; k < last; k++ {
 			c := selected[k]
 			lm := vr.fresh()

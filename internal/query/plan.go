@@ -111,7 +111,7 @@ var validOpSizes = map[uint32]bool{16: true, 32: true, 64: true, 128: true, 256:
 func (p Plan) Auto() bool { return p.Arch == ArchAuto }
 
 // Validate rejects configurations outside the paper's evaluated space.
-// Per-backend constraints come from the registry's capability reports;
+// Per-backend constraints come from the backends' capability reports;
 // an auto plan validates when at least one registered backend could
 // resolve it.
 func (p Plan) Validate() error {
@@ -133,7 +133,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	if p.Auto() {
-		for _, b := range Backends() {
+		for _, b := range backends {
 			q := p
 			q.Arch = b.Arch()
 			if q.Validate() == nil {

@@ -45,12 +45,11 @@ type Workload struct {
 	// this row confines the predicated accumulation to real tuples.
 	ValidRow mem.Addr
 
-	// Pattern rows for NSM lane compares (HIVE registers load them; HMC
-	// CmpReads carry them as instruction patterns).
-	PatternGE mem.Addr
-	PatternLE mem.Addr
-	patGE     []int32
-	patLE     []int32
+	// Pattern rows for NSM lane compares, indexed wantGE and wantLE
+	// (HIVE registers load them; HMC CmpReads carry them as instruction
+	// patterns).
+	Pattern [2]mem.Addr
+	pat     [2][]int32
 
 	// Reference results (Ref for selection scans, Ref1 for aggregation).
 	Ref  *db.ReferenceResult
@@ -91,7 +90,7 @@ func (p Plan) ValidateFor(tuples int) error {
 	if p.Auto() {
 		// Validate accepted the shape; the table-dependent envelope
 		// holds when at least one backend substitution survives it.
-		for _, b := range Backends() {
+		for _, b := range backends {
 			q := p
 			q.Arch = b.Arch()
 			if q.ValidateFor(tuples) == nil {
@@ -149,9 +148,10 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 		// Pattern rows: per-lane constants tiled every 16 lanes (one
 		// tuple). CmpGE pattern / CmpLE pattern; filler lanes always in
 		// range.
-		w.patGE, w.patLE = tuplePatternsDesc(w.Desc)
-		w.PatternGE = writePattern(m.Image, a, w.patGE)
-		w.PatternLE = writePattern(m.Image, a, w.patLE)
+		w.pat = tuplePatternsDesc(w.Desc)
+		for r, pat := range w.pat {
+			w.Pattern[r] = writePattern(m.Image, a, pat)
+		}
 		// Lane-mask region: one bit per 32-bit lane of tuple data.
 		lanes := t.N * db.TupleBytes / 4
 		w.FinalMask = a.Alloc(uint64(lanes/8), 256)
@@ -380,8 +380,8 @@ func (w *Workload) prepareExpected() {
 			data := w.M.Image[uint64(w.NSM.Base)+uint64(c*stride):]
 			for i := 0; i < S/isa.LaneBytes; i++ {
 				v := isa.LaneAt(data, i)
-				ge := v >= w.patGE[i%db.NumFields]
-				le := v <= w.patLE[i%db.NumFields]
+				ge := v >= w.pat[wantGE][i%db.NumFields]
+				le := v <= w.pat[wantLE][i%db.NumFields]
 				if ge {
 					w.want.set(wantGE, c, i)
 				}
@@ -443,90 +443,58 @@ func (w *Workload) GroupResults() []db.GroupAgg {
 }
 
 // Verify checks the functional outcome of a completed run against the
-// reference evaluator. Which artifacts exist depends on the plan:
-// engine-written bitmask regions and group accumulators for HIVE/HIPE,
-// runtime cross-checks for HMC, and (by construction) nothing for x86,
-// whose correctness is the reference itself.
+// reference evaluator, by what the plan wrote:
+//
+//   - the final bitmask region (a grouped plan's filter bitmask): HIVE
+//     column plans and HIPE selection plans;
+//   - the accumulators: the Q06 Aggregate revenue, and Q01 on the HIVE
+//     and HIPE column plans;
+//   - runtime cross-checks, of which at least one must have run: HMC
+//     plans and HIVE tuple plans.
+//
+// x86 plans write nothing to check: their correctness is the reference
+// itself.
 func (w *Workload) Verify() error {
+	p := w.Plan
 	if w.mismatches > 0 {
 		return fmt.Errorf("query %s: %d of %d runtime result checks failed",
-			w.Plan, w.mismatches, w.checked)
+			p, w.mismatches, w.checked)
 	}
-	if w.Desc.Kind == Q1Agg {
-		return w.verifyQ1()
-	}
-	switch {
-	case w.Plan.Arch == HIVE && w.Plan.Strategy == ColumnAtATime,
-		w.Plan.Arch == HIPE:
-		// The final bitmask region must equal the reference bitmask in
-		// the chunked storage layout (each chunk's tuple bits packed
-		// into MaskBytes(OpSize) bytes).
-		want := w.expectedMaskRegion(w.Ref.Bitmask)
+	column := p.Strategy == ColumnAtATime
+	if column && (p.Arch == HIVE || p.Arch == HIPE && !w.Desc.Grouped()) {
+		// The bitmask region must equal the reference bitmask in the
+		// chunked storage layout (each chunk's tuple bits packed into
+		// MaskBytes(OpSize) bytes).
+		want := w.expectedMaskRegion(w.matchMask)
 		got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("query %s: final bitmask differs from reference (%d vs %d matches)",
-				w.Plan, isa.PopcountMask(got), isa.PopcountMask(want))
+				p, isa.PopcountMask(got), isa.PopcountMask(want))
 		}
 	}
-	if w.Plan.Aggregate {
+	if p.Aggregate {
 		// The engine's accumulator vector must sum to the reference
 		// revenue.
-		got := laneSum(w.M.Image, w.AccRegion)
-		if got != w.Ref.Revenue {
-			return fmt.Errorf("query %s: in-memory revenue %d, reference %d", w.Plan, got, w.Ref.Revenue)
+		if got := laneSum(w.M.Image, w.AccRegion); got != w.Ref.Revenue {
+			return fmt.Errorf("query %s: in-memory revenue %d, reference %d", p, got, w.Ref.Revenue)
 		}
 	}
-	switch {
-	case w.Plan.Arch == HIVE && w.Plan.Strategy == TupleAtATime:
-		// The engine wrote packed GE&LE lane masks; tuple i matches iff
-		// its three predicate lane bits are all set in both masks — the
-		// generator cross-checked each chunk at runtime (w.checked>0).
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
-	case w.Plan.Arch == HMC:
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
-	}
-	return nil
-}
-
-// verifyQ1 checks a grouped-aggregation run. The engine architectures
-// spilled their accumulator registers to AccRegion: each (group,
-// aggregate) register's lane sum must equal the reference evaluator's
-// value. The baselines verified their bitmasks at runtime.
-func (w *Workload) verifyQ1() error {
-	engine := w.Plan.Strategy == ColumnAtATime &&
-		(w.Plan.Arch == HIVE || w.Plan.Arch == HIPE)
-	if engine {
-		if w.Plan.Arch == HIVE {
-			// HIVE's filter pass stored the chunked filter bitmask.
-			want := w.expectedMaskRegion(w.Ref1.Bitmask)
-			got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("query %s: filter bitmask differs from reference (%d vs %d matches)",
-					w.Plan, isa.PopcountMask(got), isa.PopcountMask(want))
-			}
-		}
+	if column && w.Desc.Grouped() && (p.Arch == HIVE || p.Arch == HIPE) {
+		// Each spilled (group, aggregate) register's lane sum must
+		// equal the reference evaluator's value.
 		for g := 0; g < w.Desc.Groups; g++ {
 			ref := w.Ref1.Groups[g]
 			want := [NumAggs]int64{ref.Count, ref.SumQty, ref.SumPrice, ref.SumRevenue}
 			for agg := 0; agg < NumAggs; agg++ {
-				got := laneSum(w.M.Image, w.accAddr(g, agg))
-				if got != want[agg] {
+				if got := laneSum(w.M.Image, w.accAddr(g, agg)); got != want[agg] {
 					return fmt.Errorf("query %s: group %d %s: in-memory %d, reference %d",
-						w.Plan, g, AggName(agg), got, want[agg])
+						p, g, AggName(agg), got, want[agg])
 				}
 			}
 		}
-		return nil
 	}
-	switch w.Plan.Arch {
-	case HMC, HIVE:
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
+	if (p.Arch == HMC || p.Arch == HIVE && !column) && w.checked == 0 {
+		return fmt.Errorf("query %s: no runtime checks ran", p)
 	}
 	return nil
 }

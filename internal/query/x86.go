@@ -8,24 +8,31 @@ import (
 
 // x86Tuple generates the AVX tuple-at-a-time scan over the NSM layout:
 // load the whole 64-byte tuple (in OpSize pieces), lane-compare the
-// predicate fields against the GE/LE patterns, branch on the combined
-// match, and materialise matching tuples — the paper's Figure 1a flow.
+// predicate fields against the description's pattern rows, branch on
+// the combined match, and act on matching tuples — the paper's Figure
+// 1a flow. A selection materialises them; a grouped description
+// branches again on the group key — the returnflag and linestatus
+// dispatch whose direction depends on in-memory data, which is exactly
+// the control flow the paper's predication argument targets — and
+// accumulates the group's four running sums in registers.
 func (w *Workload) x86Tuple() *chunkedStream {
-	p := w.Plan
+	p := &w.Plan
 	S := p.OpSize
 	chunksPerTuple := int(db.TupleBytes / S)
 	if chunksPerTuple == 0 {
 		chunksPerTuple = 1
 	}
+	_, rows := w.Desc.patternRows()
 	vr := &vregs{}
+	acc := w.newCPUAcc(vr)
 	group := 0
 	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
 	matched := 0
 
-	const pcBase = 0x1000
-	// Per tuple: its loads, two compares, the AND, the branch and at
-	// most one store; then the loop tail.
-	maxOps := p.Unroll*(chunksPerTuple+5) + 2
+	pcBase := w.Desc.pcBase(0x1000, 0x8000)
+	// Per tuple: its loads, a compare and AND per pattern row, the
+	// branch and the match action; then the loop tail.
+	maxOps := p.Unroll*(chunksPerTuple+2*rows+w.matchOps(false)) + 2
 	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
 		if group >= groups {
 			return false
@@ -44,92 +51,29 @@ func (w *Workload) x86Tuple() *chunkedStream {
 				e.emit(isa.MicroOp{Class: isa.Load, Dst: dst,
 					Addr: w.NSM.TupleAddr(i) + mem.Addr(k)*mem.Addr(S), Size: S})
 			}
-			// Predicates live in the first 16 bytes: two pattern
-			// compares and a mask AND.
-			ge := vr.fresh()
-			le := vr.fresh()
-			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: ge, Src1: firstChunk, Size: S})
-			e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: le, Src1: firstChunk, Size: S})
-			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: ge, Src2: le})
-			// Data-dependent branch: materialise on match.
+			// Predicates live in the first 16 bytes: one pattern compare
+			// per row, ANDed into the match mask.
+			var m isa.Reg
+			for r := 0; r < rows; r++ {
+				c := vr.fresh()
+				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: c, Src1: firstChunk, Size: S})
+				if r == 0 {
+					m = c
+					continue
+				}
+				nm := vr.fresh()
+				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: c})
+				m = nm
+			}
+			// Data-dependent branch, then the match action over the
+			// already-loaded tuple registers.
 			match := w.tupleMatch(i)
 			e.emit(isa.MicroOp{Class: isa.Branch, Src1: m, Taken: match})
 			if match {
-				e.emit(isa.MicroOp{Class: isa.Store,
-					Addr: w.Materialize + mem.Addr(matched*db.TupleBytes),
-					Size: db.TupleBytes})
-				matched++
+				w.emitMatch(e, acc, i, firstChunk, &matched)
 			}
 		}
 		// Loop overhead once per unrolled group.
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	})
-}
-
-// q1x86Tuple generates the AVX tuple-at-a-time Q01 aggregation over the
-// NSM layout: load the tuple, compare the shipdate filter, branch on
-// the match, then branch again on the group key — the returnflag and
-// linestatus dispatch whose direction depends on in-memory data, which
-// is exactly the control flow the paper's predication argument targets
-// — and accumulate the group's four running sums in registers.
-func (w *Workload) q1x86Tuple() *chunkedStream {
-	p := w.Plan
-	S := p.OpSize
-	chunksPerTuple := int(db.TupleBytes / S)
-	if chunksPerTuple == 0 {
-		chunksPerTuple = 1
-	}
-	st := w.Desc.Stages[0]
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	group := 0
-	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
-
-	const pcBase = 0x8000
-	// Per tuple: its loads, a compare and AND per bound, the branch and
-	// the accumulation (emitTupleAccumulate's 8); then the loop tail.
-	maxOps := p.Unroll*(chunksPerTuple+2*len(st.Bounds)+8) + 2
-	return newChunkedStream(maxOps, 0, func(e *emitter) bool {
-		if group >= groups {
-			return false
-		}
-		e.pc = pcBase
-		first, last := blockBounds(group, p.Unroll, w.Table.N)
-		for i := first; i < last; i++ {
-			var firstChunk isa.Reg
-			for k := 0; k < chunksPerTuple; k++ {
-				dst := vr.fresh()
-				if k == 0 {
-					firstChunk = dst
-				}
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: dst,
-					Addr: w.NSM.TupleAddr(i) + mem.Addr(k)*mem.Addr(S), Size: S})
-			}
-			// Filter compare(s) over the predicate lanes.
-			m := firstChunk
-			for range st.Bounds {
-				c := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: c, Src1: firstChunk, Size: S})
-				if m != firstChunk {
-					nm := vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: c})
-					m = nm
-				} else {
-					m = c
-				}
-			}
-			match := w.tupleMatch(i)
-			e.emit(isa.MicroOp{Class: isa.Branch, Src1: m, Taken: match})
-			if !match {
-				continue
-			}
-			// Group dispatch and accumulates over the already-loaded
-			// tuple registers.
-			w.emitTupleAccumulate(e, acc, i, firstChunk)
-		}
 		e.loopTail(vr, group != groups-1)
 		group++
 		return true
