@@ -1,5 +1,6 @@
-// Package stats collects simulation statistics: named counters and
-// histograms grouped per component, with deterministic report formatting.
+// Package stats collects simulation statistics: named counters grouped
+// per component, with deterministic report formatting, and the serving
+// layer's streaming latency histogram (LogHist).
 //
 // Every timing model in the reproduction registers a Scope and bumps
 // counters through it; the experiment harness then snapshots the registry
@@ -173,51 +174,3 @@ func (c *Counter) Inc() { c.v++ }
 
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Histogram is a fixed-bucket latency histogram (power-of-two buckets).
-type Histogram struct {
-	buckets [32]uint64
-	count   uint64
-	sum     uint64
-	max     uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	b := 0
-	for x := v; x > 0 && b < len(h.buckets)-1; x >>= 1 {
-		b++
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean reports the average sample (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Max reports the largest sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Bucket reports the count of samples in power-of-two bucket i
-// (bucket 0 holds v==0, bucket i holds 2^(i-1) <= v < 2^i).
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Reset returns the histogram to empty.
-func (h *Histogram) Reset() { *h = Histogram{} }
