@@ -35,10 +35,14 @@
 // both documents got more than P% slower — the CI wall-clock regression
 // tripwire across the committed performance trajectory.
 //
-// -min-sweep-speedup S gates the BenchmarkSweepGrid lanes: the emitted
-// sweep_grid section records the exact, sharded and estimate lanes'
-// ns/op plus the estimate fast path's aggregate speedup over exact, and
-// the run exits non-zero if that speedup falls below S.
+// Paired lanes — the same workload measured two ways, as sub-benchmarks
+// <bench>/<base> and <bench>/<lane> — are recorded in the lane_pairs
+// section with both ns/op and their ratio (lane over base); see
+// lanePairs. Each lane's custom metrics stay in its own entry.
+//
+// -min-sweep-speedup S gates the BenchmarkSweepGrid lanes: the run
+// exits non-zero if the estimate fast path's speedup over exact (the
+// inverse of that pair's ratio) falls below S.
 package main
 
 import (
@@ -75,44 +79,50 @@ type Comparison struct {
 	Allocs          float64 `json:"allocs_per_op"`
 }
 
-// Overhead pairs a counters-on benchmark lane with its counters-off
-// twin: the measured cost of enabling machine-counter capture on the
-// same workload. The repo-wide budget is overhead_pct < 5.
-type Overhead struct {
-	Name        string  `json:"name"`
-	OffNsPerOp  float64 `json:"off_ns_per_op"`
-	OnNsPerOp   float64 `json:"on_ns_per_op"`
-	OverheadPct float64 `json:"overhead_pct"`
+// LanePair is one paired-lane measurement: a lane and its base lane on
+// the same workload.
+type LanePair struct {
+	Base        string  `json:"base"`
+	Lane        string  `json:"lane"`
+	BaseNsPerOp float64 `json:"base_ns_per_op"`
+	LaneNsPerOp float64 `json:"lane_ns_per_op"`
+	// Ratio is LaneNsPerOp / BaseNsPerOp: above 1 the lane is slower.
+	Ratio float64 `json:"ratio"`
 }
 
-// SweepGrid summarises the BenchmarkSweepGrid execution-mode lanes:
-// the same sweep grid run exact, exact with 4-way cell sharding, and
-// through the cost-model estimate fast path. FastPathSpeedup is the
-// PR 9 figure-of-merit (estimate lane throughput over exact).
-type SweepGrid struct {
-	ExactNsPerOp    float64 `json:"exact_ns_per_op"`
-	ShardedNsPerOp  float64 `json:"sharded_ns_per_op"`
-	EstimateNsPerOp float64 `json:"estimate_ns_per_op"`
-	ShardSpeedup    float64 `json:"shard_speedup"`
-	FastPathSpeedup float64 `json:"fast_path_speedup"`
+// lanePairs names the paired sub-benchmark lanes, base first: counter
+// capture off and on (BenchmarkFigCounters, per panel), the sweep grid
+// exact against the estimate fast path and against cell sharding
+// (BenchmarkSweepGrid), and static against adaptive routing
+// (BenchmarkAdaptiveRouting).
+var lanePairs = [...]struct{ base, lane string }{
+	{"counters-off", "counters-on"},
+	{"exact", "estimate"},
+	{"exact", "exact-sharded"},
+	{"static", "adaptive"},
 }
 
-// AdaptiveRouting summarises the BenchmarkAdaptiveRouting lanes: the
-// identical drifted-prior load test routed statically and with the
-// feedback loop closed. CycleReductionPct is the PR 10 figure-of-merit
-// (simulated service cycles the adaptive planner recovers from the
-// mis-calibration); OverheadPct is the feedback loop's wall-clock cost
-// over the static lane.
-type AdaptiveRouting struct {
-	StaticNsPerOp     float64 `json:"static_ns_per_op"`
-	AdaptiveNsPerOp   float64 `json:"adaptive_ns_per_op"`
-	OverheadPct       float64 `json:"overhead_pct"`
-	StaticServiceCyc  float64 `json:"static_service_cycles"`
-	AdaptServiceCyc   float64 `json:"adaptive_service_cycles"`
-	CycleReductionPct float64 `json:"cycle_reduction_pct"`
-	StaticP50         float64 `json:"static_p50_cycles"`
-	AdaptP50          float64 `json:"adaptive_p50_cycles"`
-	Explored          float64 `json:"explored_requests"`
+// pairLanes applies the one pairing rule: every result <bench>/<base>
+// of a lanePairs entry pairs with its sibling <bench>/<lane>, when
+// both ran.
+func pairLanes(rs []BenchResult) []LanePair {
+	byName := map[string]BenchResult{}
+	for _, r := range rs {
+		byName[r.Name] = r
+	}
+	var out []LanePair
+	for _, r := range rs {
+		for _, lp := range lanePairs {
+			bench, ok := strings.CutSuffix(r.Name, "/"+lp.base)
+			lane, ok2 := byName[bench+"/"+lp.lane]
+			if !ok || !ok2 || r.NsPerOp == 0 || lane.NsPerOp == 0 {
+				continue
+			}
+			out = append(out, LanePair{Base: r.Name, Lane: lane.Name,
+				BaseNsPerOp: r.NsPerOp, LaneNsPerOp: lane.NsPerOp, Ratio: lane.NsPerOp / r.NsPerOp})
+		}
+	}
+	return out
 }
 
 // Doc is the emitted document.
@@ -121,92 +131,12 @@ type Doc struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// FigureBenchtime is the -figure-benchtime the figure benches ran
 	// at. Documents written before it was recorded carry none.
-	FigureBenchtime string           `json:"figure_benchtime,omitempty"`
-	Figures         []BenchResult    `json:"figure_benches,omitempty"`
-	Scheduler       []BenchResult    `json:"scheduler_benches"`
-	CounterOverhead []Overhead       `json:"counter_overhead,omitempty"`
-	SweepGrid       *SweepGrid       `json:"sweep_grid,omitempty"`
-	AdaptiveRouting *AdaptiveRouting `json:"adaptive_routing,omitempty"`
-	Baseline        []BenchResult    `json:"baseline,omitempty"`
-	Comparisons     []Comparison     `json:"comparisons,omitempty"`
-}
-
-// sweepGrid pairs the BenchmarkSweepGrid lanes into one summary row;
-// nil when the lanes are absent (e.g. -skip-figures).
-func sweepGrid(rs []BenchResult) *SweepGrid {
-	byName := map[string]BenchResult{}
-	for _, r := range rs {
-		byName[r.Name] = r
-	}
-	exact, ok := byName["BenchmarkSweepGrid/exact"]
-	if !ok || exact.NsPerOp == 0 {
-		return nil
-	}
-	g := &SweepGrid{ExactNsPerOp: exact.NsPerOp}
-	if sharded, ok := byName["BenchmarkSweepGrid/exact-sharded"]; ok && sharded.NsPerOp > 0 {
-		g.ShardedNsPerOp = sharded.NsPerOp
-		g.ShardSpeedup = exact.NsPerOp / sharded.NsPerOp
-	}
-	if est, ok := byName["BenchmarkSweepGrid/estimate"]; ok && est.NsPerOp > 0 {
-		g.EstimateNsPerOp = est.NsPerOp
-		g.FastPathSpeedup = exact.NsPerOp / est.NsPerOp
-	}
-	return g
-}
-
-// adaptiveRouting pairs the BenchmarkAdaptiveRouting lanes into one
-// summary row; nil when the lanes are absent (e.g. -skip-figures).
-func adaptiveRouting(rs []BenchResult) *AdaptiveRouting {
-	byName := map[string]BenchResult{}
-	for _, r := range rs {
-		byName[r.Name] = r
-	}
-	static, ok := byName["BenchmarkAdaptiveRouting/static"]
-	adapt, ok2 := byName["BenchmarkAdaptiveRouting/adaptive"]
-	if !ok || !ok2 || static.NsPerOp == 0 {
-		return nil
-	}
-	a := &AdaptiveRouting{
-		StaticNsPerOp:    static.NsPerOp,
-		AdaptiveNsPerOp:  adapt.NsPerOp,
-		OverheadPct:      100 * (adapt.NsPerOp - static.NsPerOp) / static.NsPerOp,
-		StaticServiceCyc: static.Metrics["simcyc:service"],
-		AdaptServiceCyc:  adapt.Metrics["simcyc:service"],
-		StaticP50:        static.Metrics["simcyc:p50"],
-		AdaptP50:         adapt.Metrics["simcyc:p50"],
-		Explored:         adapt.Metrics["explored"],
-	}
-	if a.StaticServiceCyc > 0 {
-		a.CycleReductionPct = 100 * (a.StaticServiceCyc - a.AdaptServiceCyc) / a.StaticServiceCyc
-	}
-	return a
-}
-
-// counterOverhead pairs every ".../counters-off" lane with its
-// ".../counters-on" sibling (the BenchmarkFigCounters sub-benchmarks).
-func counterOverhead(rs []BenchResult) []Overhead {
-	byName := map[string]BenchResult{}
-	for _, r := range rs {
-		byName[r.Name] = r
-	}
-	var out []Overhead
-	for _, r := range rs {
-		if !strings.HasSuffix(r.Name, "/counters-off") || r.NsPerOp == 0 {
-			continue
-		}
-		base := strings.TrimSuffix(r.Name, "/counters-off")
-		on, ok := byName[base+"/counters-on"]
-		if !ok {
-			continue
-		}
-		out = append(out, Overhead{
-			Name:        base,
-			OffNsPerOp:  r.NsPerOp,
-			OnNsPerOp:   on.NsPerOp,
-			OverheadPct: 100 * (on.NsPerOp - r.NsPerOp) / r.NsPerOp,
-		})
-	}
-	return out
+	FigureBenchtime string        `json:"figure_benchtime,omitempty"`
+	Figures         []BenchResult `json:"figure_benches,omitempty"`
+	Scheduler       []BenchResult `json:"scheduler_benches"`
+	LanePairs       []LanePair    `json:"lane_pairs,omitempty"`
+	Baseline        []BenchResult `json:"baseline,omitempty"`
+	Comparisons     []Comparison  `json:"comparisons,omitempty"`
 }
 
 // allocSlackPct is how far above its previous allocs/op a gated figure
@@ -392,17 +322,13 @@ func main() {
 		// The Q01 aggregation, routing and fleet-serving benches ride
 		// with the figure panels: whole-workload simulations (and, for
 		// routing, the planner's per-request overhead and plannerpct
-		// share) on the paper's configurations. BenchmarkFigCounters'
-		// counters-off/on lanes are paired into the counter_overhead
-		// section and BenchmarkAdaptiveRouting's static/adaptive lanes
-		// into the adaptive_routing section below.
+		// share) on the paper's configurations. Their paired lanes are
+		// recorded in the lane_pairs section below.
 		doc.Figures, err = runBench(".", "^(BenchmarkFig|BenchmarkQ1|BenchmarkAutoRouting|BenchmarkAdaptiveRouting|BenchmarkFleet|BenchmarkSweepGrid)", *figureBenchtime)
 		if err != nil {
 			log.Fatal(err)
 		}
-		doc.CounterOverhead = counterOverhead(doc.Figures)
-		doc.SweepGrid = sweepGrid(doc.Figures)
-		doc.AdaptiveRouting = adaptiveRouting(doc.Figures)
+		doc.LanePairs = pairLanes(doc.Figures)
 	}
 	log.Printf("running scheduler microbenches (-benchtime %s)...", *microBenchtime)
 	doc.Scheduler, err = runBench("./internal/sim/", "^(BenchmarkSchedule|BenchmarkEngine)", *microBenchtime)
@@ -493,16 +419,22 @@ func main() {
 	}
 
 	if *minSweepSpeedup > 0 {
-		if doc.SweepGrid == nil {
-			log.Fatal("sweep-speedup gate: BenchmarkSweepGrid lanes missing from the figure run")
+		speedup := 0.0
+		for _, lp := range doc.LanePairs {
+			if lp.Base == "BenchmarkSweepGrid/exact" && lp.Lane == "BenchmarkSweepGrid/estimate" {
+				speedup = 1 / lp.Ratio
+			}
 		}
-		if doc.SweepGrid.FastPathSpeedup < *minSweepSpeedup {
+		if speedup == 0 {
+			log.Fatal("sweep-speedup gate: BenchmarkSweepGrid exact/estimate lanes missing from the figure run")
+		}
+		if speedup < *minSweepSpeedup {
 			log.Printf("SWEEP SPEEDUP BELOW GATE: estimate fast path %.1fx over exact, want >= %.1fx",
-				doc.SweepGrid.FastPathSpeedup, *minSweepSpeedup)
+				speedup, *minSweepSpeedup)
 			os.Exit(1)
 		}
 		log.Printf("sweep-speedup gate passed: estimate fast path %.1fx over exact (gate %.1fx)",
-			doc.SweepGrid.FastPathSpeedup, *minSweepSpeedup)
+			speedup, *minSweepSpeedup)
 	}
 
 	enc, err := json.MarshalIndent(doc, "", "  ")

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,24 +106,30 @@ PASS
 	}
 }
 
-// TestSweepGridPairing covers the sweep_grid lane pairing without
-// shelling out: the three BenchmarkSweepGrid lanes collapse into one
-// summary row with both speedup ratios.
+// TestSweepGridPairing covers the one lane-pairing rule without
+// shelling out: every <bench>/<base> lane of a lanePairs entry pairs
+// with its <bench>/<lane> sibling — the sweep grid's exact lane with
+// both the estimate and the sharded lane, each counters-off panel with
+// its counters-on twin — recording both ns/op and lane over base, and
+// nothing pairs without both lanes.
 func TestSweepGridPairing(t *testing.T) {
-	g := sweepGrid([]BenchResult{
+	got := pairLanes([]BenchResult{
+		{Name: "BenchmarkAdaptiveRouting/static", NsPerOp: 200},
+		{Name: "BenchmarkFig3a", NsPerOp: 5},
+		{Name: "BenchmarkFigCounters/3a/counters-off", NsPerOp: 100},
+		{Name: "BenchmarkFigCounters/3a/counters-on", NsPerOp: 105},
+		{Name: "BenchmarkFigCounters/3b/counters-off", NsPerOp: 100},
+		{Name: "BenchmarkSweepGrid/estimate", NsPerOp: 10},
 		{Name: "BenchmarkSweepGrid/exact", NsPerOp: 1000},
 		{Name: "BenchmarkSweepGrid/exact-sharded", NsPerOp: 400},
-		{Name: "BenchmarkSweepGrid/estimate", NsPerOp: 10},
-		{Name: "BenchmarkFig3a", NsPerOp: 5},
 	})
-	if g == nil {
-		t.Fatal("lanes present but no sweep_grid row")
+	want := []LanePair{
+		{"BenchmarkFigCounters/3a/counters-off", "BenchmarkFigCounters/3a/counters-on", 100, 105, 1.05},
+		{"BenchmarkSweepGrid/exact", "BenchmarkSweepGrid/estimate", 1000, 10, 0.01},
+		{"BenchmarkSweepGrid/exact", "BenchmarkSweepGrid/exact-sharded", 1000, 400, 0.4},
 	}
-	if g.ShardSpeedup != 2.5 || g.FastPathSpeedup != 100 {
-		t.Fatalf("speedups mis-paired: %+v", g)
-	}
-	if sweepGrid([]BenchResult{{Name: "BenchmarkFig3a", NsPerOp: 5}}) != nil {
-		t.Fatal("sweep_grid row fabricated without lanes")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs\n%+v\nwant\n%+v", got, want)
 	}
 }
 
