@@ -230,22 +230,20 @@ func tuplePatternsDesc(d Desc) (rows [2][]int32) {
 // LE). A row no bound needs passes every lane, so the AND of the
 // compared rows is the plan's wantGELE mask.
 func (d Desc) patternRows() (first, n int) {
-	var need [2]bool
+	var lower, upper bool
 	for _, st := range d.Stages {
 		for _, b := range st.Bounds {
-			need[wantGE] = need[wantGE] || b.Kind != isa.CmpLE && b.Kind != isa.CmpLT
-			need[wantLE] = need[wantLE] || b.Kind != isa.CmpGE && b.Kind != isa.CmpGT
+			lower = lower || b.Kind != isa.CmpLE && b.Kind != isa.CmpLT
+			upper = upper || b.Kind != isa.CmpGE && b.Kind != isa.CmpGT
 		}
 	}
-	if !need[wantGE] {
-		first = wantLE
+	switch {
+	case lower && upper:
+		return wantGE, 2
+	case lower:
+		return wantGE, 1
 	}
-	for _, r := range need {
-		if r {
-			n++
-		}
-	}
-	return first, n
+	return wantLE, 1
 }
 
 // rowALU is the compare each pattern row evaluates, indexed wantGE,

@@ -44,7 +44,7 @@ func (w *Workload) hmcTuple() *chunkedStream {
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			addr := w.NSM.Base + mem.Addr(c*stride)
-			m := isa.RegNone
+			var m isa.Reg
 			for r := row0; r < row0+rows; r++ {
 				cr := vr.fresh()
 				e.offload(cr, isa.RegNone, isa.OffloadInst{
@@ -52,7 +52,7 @@ func (w *Workload) hmcTuple() *chunkedStream {
 					Addr: addr, Size: p.OpSize, Pattern: w.patternLanes(r),
 					Expect: w.want.at(r, c), OnResult: w.onResult,
 				})
-				if m == isa.RegNone {
+				if r == row0 {
 					m = cr
 					continue
 				}

@@ -42,10 +42,7 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	S := int(p.OpSize)
 	tuplesPerChunk, stride := tupleChunking(S)
 	chunks := w.Table.N / tuplesPerChunk
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
+	wave := min(p.Unroll, hiveWave)
 	groups := (chunks + wave - 1) / wave
 	maskBytes := isa.MaskBytes(p.OpSize)
 	row0, rows := w.Desc.patternRows()
@@ -146,10 +143,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 	chunks := w.Table.N / tuplesPerChunk
 	stages := w.Desc.Stages
 	grouped := w.Desc.Grouped()
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
+	wave := min(p.Unroll, hiveWave)
 
 	const tmpA, tmpB, tmpP = 30, 31, 32
 	vr := &vregs{}

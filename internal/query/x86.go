@@ -18,10 +18,7 @@ import (
 func (w *Workload) x86Tuple() *chunkedStream {
 	p := &w.Plan
 	S := p.OpSize
-	chunksPerTuple := int(db.TupleBytes / S)
-	if chunksPerTuple == 0 {
-		chunksPerTuple = 1
-	}
+	chunksPerTuple := max(int(db.TupleBytes/S), 1)
 	_, rows := w.Desc.patternRows()
 	vr := &vregs{}
 	acc := w.newCPUAcc(vr)
