@@ -295,7 +295,7 @@ func estimateColumn(pr Params, p query.Plan, prof Profile) Estimate {
 
 	case query.HIVE:
 		if p.Kind == query.Q1Agg {
-			// q1hiveColumn: a pipelined filter pass over every chunk
+			// hiveColumn, grouped: a pipelined filter pass over every chunk
 			// (load, compare(s), mask store, then the processor's
 			// decision fetch), then a SERIAL aggregation pass over the
 			// surviving chunks only: mask reload + 5 column loads +

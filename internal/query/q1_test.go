@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/isa"
 	"github.com/hipe-sim/hipe/internal/machine"
 )
 
@@ -216,4 +217,35 @@ func TestQ1RequiresZeroingSquash(t *testing.T) {
 		OpSize: 256, Unroll: 8, Q: db.DefaultQ06()}); err != nil {
 		t.Fatalf("plain scan rejected: %v", err)
 	}
+}
+
+// TestQ1HIVEColumnNoSurvivingChunk cuts the Q01 filter below every
+// shipdate: no chunk survives HIVE's stage pipeline, yet the grouped
+// tail still clears and spills the accumulators (and runs no
+// aggregation block), so Verify reads zeros against the empty
+// reference.
+func TestQ1HIVEColumnNoSurvivingChunk(t *testing.T) {
+	tab := db.Generate(1024, 7)
+	p := q1Plan(HIVE, ColumnAtATime, 256, 8)
+	p.Q1 = db.Q01{ShipCut: 0}
+	m := testMachine(t)
+	w, err := Prepare(m, tab, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[uint64]int{}
+	s := w.Stream()
+	for {
+		u, ok := s.Next()
+		if !ok {
+			break
+		}
+		if u.Offload != nil && u.Offload.Op == isa.Lock {
+			blocks[u.PC&^0xFF]++
+		}
+	}
+	if blocks[0xB200] != 1 || blocks[0xB800] != 1 || blocks[0xB400] != 0 {
+		t.Fatalf("lock blocks by PC base %v: want one clear (0xb200), one spill (0xb800), no aggregation (0xb400)", blocks)
+	}
+	runPlan(t, tab, p)
 }
